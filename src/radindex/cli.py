@@ -58,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "likely representation-infinite (default %(default)s)")
     parser.add_argument("--format", choices=("human", "machine"), default="human",
                         help="report format (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for the companion fixture generators")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse and re-serialize the input")

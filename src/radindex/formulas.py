@@ -111,26 +111,28 @@ def pullback_split(bq: BoundQuiver) -> PullbackSplit:
     return PullbackSplit(a1, a2, core, rel)
 
 
-def b_nonempty(bq: BoundQuiver, split: PullbackSplit, ar: ARQuiver) -> bool:
-    """True iff some indecomposable lies outside Pred(injectives of the
-    a2-only vertices) and Succ(projectives of the a1-only vertices)."""
+def _pred_succ(split: PullbackSplit, ar: ARQuiver) -> tuple[set[int], set[int]]:
+    """(Pred(DA'), Succ(C')): the node ids below an injective of an
+    a2-only vertex and above a projective of an a1-only vertex."""
     core_verts = set(split.core.quiver.vertices)
     a1_only = set(split.a1.quiver.vertices) - core_verts
     a2_only = set(split.a2.quiver.vertices) - core_verts
     idx = reach(ar)
     c_nodes = idx.succ_of(ar.projective(i).ident for i in sorted(a1_only))
     a_nodes = idx.pred_of(ar.injective(i).ident for i in sorted(a2_only))
+    return a_nodes, c_nodes
+
+
+def b_nonempty(bq: BoundQuiver, split: PullbackSplit, ar: ARQuiver) -> bool:
+    """True iff some indecomposable lies outside Pred(injectives of the
+    a2-only vertices) and Succ(projectives of the a1-only vertices)."""
+    a_nodes, c_nodes = _pred_succ(split, ar)
     return len(a_nodes | c_nodes) < len(ar.nodes)
 
 
 def a_cap_c_empty(bq: BoundQuiver, split: PullbackSplit, ar: ARQuiver) -> bool:
     """Whether Pred(DA') and Succ(C') are disjoint on the knitted quiver."""
-    core_verts = set(split.core.quiver.vertices)
-    a1_only = set(split.a1.quiver.vertices) - core_verts
-    a2_only = set(split.a2.quiver.vertices) - core_verts
-    idx = reach(ar)
-    c_nodes = idx.succ_of(ar.projective(i).ident for i in sorted(a1_only))
-    a_nodes = idx.pred_of(ar.injective(i).ident for i in sorted(a2_only))
+    a_nodes, c_nodes = _pred_succ(split, ar)
     return not (a_nodes & c_nodes)
 
 
@@ -153,31 +155,9 @@ def sectional_criterion(bq: BoundQuiver, split: PullbackSplit, ar: ARQuiver) -> 
 def _hanging_subtrees(bq: BoundQuiver, v: int, exclude: set[int]) -> list[set[int]]:
     """Underlying components hanging off v, ignoring neighbors in exclude."""
     q = bq.quiver
-    neighbors = set()
-    for arr in q.arrows_from(v):
-        neighbors.add(arr.target)
-    for arr in q.arrows_into(v):
-        neighbors.add(arr.source)
-    out = []
-    for w in sorted(neighbors - exclude):
-        comp = _component_without(q, w, v)
-        out.append(comp)
-    return out
-
-
-def _component_without(q, start, blocked):
-    adj = {u: set() for u in q.vertices}
-    for a in q.arrows:
-        adj[a.source].add(a.target)
-        adj[a.target].add(a.source)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w != blocked and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    at_v = [a.name for a in q.arrows_from(v) + q.arrows_into(v)]
+    return [component_vertices(q, w, dropped_arrows=at_v)
+            for w in sorted(q.neighbors(v) - exclude)]
 
 
 def _is_end_attached_path(bq: BoundQuiver, subtree: set[int], attach_neighbor: int) -> bool:
@@ -422,11 +402,7 @@ def glued_index(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> GluedIndex:
 def _spanning_path(targets: set[int], q) -> Optional[list[int]]:
     """Vertices of the minimal subtree spanning `targets`, as a path, or
     None when that subtree is not a path."""
-    adj = {v: set() for v in q.vertices}
-    for a in q.arrows:
-        adj[a.source].add(a.target)
-        adj[a.target].add(a.source)
-    keep = {v: set(ws) for v, ws in adj.items()}
+    keep = {v: q.neighbors(v) for v in q.vertices}
     changed = True
     while changed:
         changed = False
@@ -516,103 +492,64 @@ def _dynkin_str(dk) -> Optional[str]:
     return None if dk is None else f"{dk[0]}{dk[1]}"
 
 
-def _run_hereditary(bq, cap):
+def _hereditary(bq, cap, ar):
     dk = classify(bq).dynkin
     if dk is None:
-        return MethodResult(
-            "hereditary_table", "error",
-            error="hereditary but not of Dynkin type: representation-infinite",
-        )
-    return MethodResult(
-        "hereditary_table", "ok", hereditary_index(dk), detail={"dynkin": _dynkin_str(dk)}
-    )
+        raise RepresentationInfinite("hereditary but not of Dynkin type: representation-infinite")
+    return hereditary_index(dk), {"dynkin": _dynkin_str(dk)}
 
 
-def _run_toupie(bq, cap):
-    try:
-        frag = toupie_index(bq)
-    except RadindexError as exc:
-        return MethodResult("toupie_formula", "error", error=str(exc))
-    return MethodResult(
-        "toupie_formula", "ok", frag.value,
-        detail={"branch_lengths": list(frag.branch_lengths), "vertex": frag.vertex},
-    )
+def _toupie(bq, cap, ar):
+    frag = toupie_index(bq)
+    return frag.value, {"branch_lengths": list(frag.branch_lengths), "vertex": frag.vertex}
 
 
-def _run_pullback(bq, cap, ar_box):
-    try:
-        if ar_box.get("ar") is None:
-            ar_box["ar"] = knit(bq, cap)
-        frag = pullback_index(bq, cap, ar=ar_box["ar"])
-    except FormulaInapplicable as exc:
-        return MethodResult(
-            "pullback_formula", "inapplicable", error=str(exc),
-            detail={
-                "naive_value": exc.naive_value,
-                "fallback_value": exc.fallback_value,
-                "b_nonempty": False,
-                "parts": getattr(exc, "parts", {}),
-                "family": getattr(exc, "family", None),
-                "sectional": getattr(exc, "sectional", None),
-            },
-        )
-    except RadindexError as exc:
-        return MethodResult("pullback_formula", "error", error=str(exc))
-    return MethodResult(
-        "pullback_formula", "ok", frag.value,
-        detail={
-            "parts": frag.part_values,
-            "part_types": {k: _dynkin_str(t) for k, t in frag.part_types.items()},
-            "b_nonempty": True,
-            "family": frag.family,
-            "sectional": frag.sectional,
-        },
-    )
+def _pullback(bq, cap, ar):
+    frag = pullback_index(bq, cap, ar=ar())
+    return frag.value, {
+        "parts": frag.part_values,
+        "part_types": {k: _dynkin_str(t) for k, t in frag.part_types.items()},
+        "b_nonempty": True,
+        "family": frag.family,
+        "sectional": frag.sectional,
+    }
 
 
-def _run_glued(bq, cap):
-    try:
-        frag = glued_index(bq, cap)
-    except RadindexError as exc:
-        return MethodResult("glued_formula", "error", error=str(exc))
-    return MethodResult(
-        "glued_formula", "ok", frag.value,
-        detail={"blocks": [
-            {k: (list(v) if isinstance(v, tuple) else v) for k, v in b.items()}
-            for b in frag.blocks
-        ]},
-    )
+def _glued(bq, cap, ar):
+    frag = glued_index(bq, cap)
+    return frag.value, {"blocks": [
+        {k: (list(v) if isinstance(v, tuple) else v) for k, v in b.items()}
+        for b in frag.blocks
+    ]}
 
 
-def _run_string(bq, cap):
-    try:
-        frag = nilpotency_string(bq)
-    except RadindexError as exc:
-        return MethodResult("string_fans", "error", error=str(exc))
-    return MethodResult(
-        "string_fans", "ok", frag.value,
-        detail={
-            "per_vertex": {str(v): r for v, r in sorted(frag.per_vertex.items())},
-            "vertices_used": list(frag.vertices_used),
-        },
-    )
+def _string(bq, cap, ar):
+    frag = nilpotency_string(bq)
+    return frag.value, {
+        "per_vertex": {str(v): r for v, r in sorted(frag.per_vertex.items())},
+        "vertices_used": list(frag.vertices_used),
+    }
 
 
-def _run_knit(bq, cap, ar_box):
-    try:
-        if ar_box.get("ar") is None:
-            ar_box["ar"] = knit(bq, cap)
-        frag = nilpotency_knit(bq, cap, ar=ar_box["ar"])
-    except RadindexError as exc:
-        return MethodResult("knit", "error", error=str(exc))
-    return MethodResult(
-        "knit", "ok", frag.value,
-        detail={
-            "per_vertex": {str(v): r for v, r in sorted(frag.per_vertex.items())},
-            "vertices_used": list(frag.vertices_used),
-            "nodes": frag.ar.node_count(),
-        },
-    )
+def _knit(bq, cap, ar):
+    frag = nilpotency_knit(bq, cap, ar=ar())
+    return frag.value, {
+        "per_vertex": {str(v): r for v, r in sorted(frag.per_vertex.items())},
+        "vertices_used": list(frag.vertices_used),
+        "nodes": frag.ar.node_count(),
+    }
+
+
+# Each method maps (bq, cap, ar) to (value, detail) or raises a
+# RadindexError; ar() returns the algebra's AR quiver, knitted once per route.
+_METHODS = {
+    "hereditary_table": _hereditary,
+    "toupie_formula": _toupie,
+    "pullback_formula": _pullback,
+    "glued_formula": _glued,
+    "string_fans": _string,
+    "knit": _knit,
+}
 
 
 def _applicable_methods(bq):
@@ -641,23 +578,39 @@ def route(bq: BoundQuiver, policy: str = "auto", cap: int = DEFAULT_CAP) -> Inde
     records agreement."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    runners = {
-        "hereditary_table": _run_hereditary,
-        "toupie_formula": _run_toupie,
-        "glued_formula": _run_glued,
-        "string_fans": _run_string,
-    }
-    ar_box: dict = {}
     applicable = _applicable_methods(bq)
     results: list[MethodResult] = []
+    knitted = None  # the AR quiver, or the RadindexError that knitting raised
+
+    def ar() -> ARQuiver:
+        nonlocal knitted
+        if knitted is None:
+            try:
+                knitted = knit(bq, cap)
+            except RadindexError as exc:
+                knitted = exc
+        if isinstance(knitted, RadindexError):
+            raise knitted
+        return knitted
 
     def run(name: str) -> MethodResult:
-        if name == "pullback_formula":
-            res = _run_pullback(bq, cap, ar_box)
-        elif name == "knit":
-            res = _run_knit(bq, cap, ar_box)
-        else:
-            res = runners[name](bq, cap)
+        try:
+            value, detail = _METHODS[name](bq, cap, ar)
+            res = MethodResult(name, "ok", value, detail=detail)
+        except FormulaInapplicable as exc:
+            res = MethodResult(
+                name, "inapplicable", error=str(exc),
+                detail={
+                    "naive_value": exc.naive_value,
+                    "fallback_value": exc.fallback_value,
+                    "b_nonempty": False,
+                    "parts": getattr(exc, "parts", {}),
+                    "family": getattr(exc, "family", None),
+                    "sectional": getattr(exc, "sectional", None),
+                },
+            )
+        except RadindexError as exc:
+            res = MethodResult(name, "error", error=str(exc))
         results.append(res)
         return res
 
@@ -694,6 +647,10 @@ def route(bq: BoundQuiver, policy: str = "auto", cap: int = DEFAULT_CAP) -> Inde
             if res.status == "ok":
                 value = res.value
                 break
+
+    # A stored knit error's traceback holds ar()'s frame, which holds the
+    # error: break that cycle so the partial AR quiver is freed right away.
+    knitted = None
 
     ok_values = {r.value for r in results if r.status == "ok"}
     agreement = (len(ok_values) == 1) if len([r for r in results if r.status == "ok"]) >= 2 else None

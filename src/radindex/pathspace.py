@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import NonAdmissible
 from .quiver import (
@@ -19,6 +18,7 @@ from .quiver import (
     BoundQuiver,
     Quiver,
     path_walk,
+    per_algebra,
 )
 
 
@@ -83,7 +83,7 @@ def dim_simple(quiver: Quiver, a: int) -> DimensionVector:
 # path enumeration
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@per_algebra
 def all_paths(bq: BoundQuiver, a: int, b: int) -> tuple[tuple[str, ...], ...]:
     """All paths a -> b as composition-order tuples, lexicographically sorted.
 
@@ -224,7 +224,7 @@ def _relation_generators(bq: BoundQuiver, paths, index):
     return gens
 
 
-@lru_cache(maxsize=None)
+@per_algebra
 def path_basis(bq: BoundQuiver, a: int, b: int) -> PathSpaceBasis:
     """Basis of e_b (kQ/I) e_a with lexicographically least representatives."""
     paths = all_paths(bq, a, b)
@@ -251,13 +251,13 @@ def path_basis(bq: BoundQuiver, a: int, b: int) -> PathSpaceBasis:
     return PathSpaceBasis(a, b, tuple(basis), classes)
 
 
-@lru_cache(maxsize=None)
+@per_algebra
 def dim_projective(bq: BoundQuiver, a: int) -> DimensionVector:
     q = bq.quiver
     return DimensionVector(q.vertices, tuple(path_basis(bq, a, v).dimension for v in q.vertices))
 
 
-@lru_cache(maxsize=None)
+@per_algebra
 def dim_injective(bq: BoundQuiver, a: int) -> DimensionVector:
     q = bq.quiver
     return DimensionVector(q.vertices, tuple(path_basis(bq, v, a).dimension for v in q.vertices))
@@ -316,13 +316,13 @@ def _grouped_summands(bq: BoundQuiver, a: int, incoming: bool) -> tuple[Dimensio
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_algebra
 def radical_summands(bq: BoundQuiver, a: int) -> tuple[DimensionVector, ...]:
     """Dimension vectors of the indecomposable summands of rad P_a."""
     return _grouped_summands(bq, a, incoming=False)
 
 
-@lru_cache(maxsize=None)
+@per_algebra
 def top_of_injective_summands(bq: BoundQuiver, a: int) -> tuple[DimensionVector, ...]:
     """Dimension vectors of the indecomposable summands of I_a / soc I_a."""
     return _grouped_summands(bq, a, incoming=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, wraps
 from typing import Iterable, Optional
 
 from .errors import (
@@ -28,6 +28,25 @@ COMM = "comm"
 
 # Length cap used by the admissibility witness on cyclic inputs.
 ADMISSIBILITY_CAP = 64
+
+
+def per_algebra(fn):
+    """Memoize ``fn(bq, *args)`` in a dict that lives on the bound quiver
+    ``bq``, so derived data is computed once per algebra and freed with it.
+
+    The memo is filled lazily without a lock: concurrent callers may compute
+    an entry twice, with equal results."""
+
+    @wraps(fn)
+    def memoized(bq, *args):
+        key = (fn, args)
+        try:
+            return bq._memo[key]
+        except KeyError:
+            value = bq._memo[key] = fn(bq, *args)
+            return value
+
+    return memoized
 
 
 @dataclass(frozen=True, order=True)
@@ -63,22 +82,58 @@ class Quiver:
                 raise UnknownVertex(f"arrow {a.name}: unknown target {a.target}")
             if a.source == a.target:
                 raise InvalidQuiver(f"arrow {a.name} is a loop; loops are out of scope")
-        if not _connected(self.vertices, self.arrows):
+        if component_vertices(self, self.vertices[0]) != set(self.vertices):
             raise InvalidQuiver("underlying graph is not connected; split the input")
 
-    # -- lookups ------------------------------------------------------------
+    # -- lookups, built on first use ---------------------------------------
+
+    @cached_property
+    def _by_name(self) -> dict[str, Arrow]:
+        return {a.name: a for a in self.arrows}
+
+    @cached_property
+    def _out(self) -> dict[int, tuple[Arrow, ...]]:
+        out = {v: () for v in self.vertices}
+        for a in self.arrows:
+            out[a.source] += (a,)
+        return out
+
+    @cached_property
+    def _in(self) -> dict[int, tuple[Arrow, ...]]:
+        inn = {v: () for v in self.vertices}
+        for a in self.arrows:
+            inn[a.target] += (a,)
+        return inn
+
+    @cached_property
+    def _acyclic(self) -> bool:
+        indeg = {v: len(self.arrows_into(v)) for v in self.vertices}
+        ready = [v for v, d in indeg.items() if d == 0]
+        ordered = 0
+        while ready:
+            v = ready.pop()
+            ordered += 1
+            for a in self.arrows_from(v):
+                indeg[a.target] -= 1
+                if indeg[a.target] == 0:
+                    ready.append(a.target)
+        return ordered == len(self.vertices)
 
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise UnknownArrow(name)
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnknownArrow(name) from None
 
     def arrows_from(self, v: int) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.source == v)
+        return self._out[v]
 
     def arrows_into(self, v: int) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.target == v)
+        return self._in[v]
+
+    def neighbors(self, v: int) -> set[int]:
+        """Vertices joined to v by an arrow in either direction."""
+        return {a.target for a in self.arrows_from(v)} | {a.source for a in self.arrows_into(v)}
 
     def sinks(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if not self.arrows_from(v))
@@ -94,46 +149,7 @@ class Quiver:
         return len(set(edges)) != len(edges)
 
     def is_directed_acyclic(self) -> bool:
-        order = topological_order(self)
-        return order is not None
-
-
-def _connected(vertices, arrows) -> bool:
-    if len(vertices) <= 1:
-        return True
-    adj = {v: set() for v in vertices}
-    for a in arrows:
-        if a.source in adj and a.target in adj:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
-
-
-def topological_order(quiver: Quiver) -> Optional[tuple[int, ...]]:
-    """Topological order of the directed quiver, or None if it has a cycle."""
-    indeg = {v: 0 for v in quiver.vertices}
-    for a in quiver.arrows:
-        indeg[a.target] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for a in quiver.arrows_from(v):
-            indeg[a.target] -= 1
-            if indeg[a.target] == 0:
-                ready.append(a.target)
-        ready.sort()
-    if len(order) != len(quiver.vertices):
-        return None
-    return tuple(order)
+        return self._acyclic
 
 
 @dataclass(frozen=True)
@@ -219,6 +235,11 @@ class BoundQuiver:
                     raise InvalidQuiver("commutativity paths must be parallel")
         _check_admissible(self)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Results of the ``per_algebra`` functions on this algebra."""
+        return {}
+
     # -- conveniences ---------------------------------------------------------
 
     def zero_relations(self) -> tuple[Relation, ...]:
@@ -296,10 +317,7 @@ def dynkin_type(quiver: Quiver) -> Optional[tuple[str, int]]:
     if not underlying_tree(quiver):
         return None
     n = len(quiver.vertices)
-    adj = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        adj[a.source].append(a.target)
-        adj[a.target].append(a.source)
+    adj = {v: quiver.neighbors(v) for v in quiver.vertices}
     degrees = {v: len(ws) for v, ws in adj.items()}
     branch = [v for v, d in degrees.items() if d >= 3]
     if not branch:
@@ -388,6 +406,7 @@ def toupie_shape(quiver: Quiver) -> Optional[tuple[int, int, tuple[tuple[int, ..
     return a, b, tuple(branches)
 
 
+@per_algebra
 def classify(bq: BoundQuiver) -> AlgebraClass:
     q = bq.quiver
     hereditary = not bq.relations
@@ -536,22 +555,13 @@ def full_subquiver(bq: BoundQuiver, vertices: Iterable[int],
 def component_vertices(quiver: Quiver, start: int, dropped_arrows: Iterable[str] = ()) -> set[int]:
     """Vertices of the underlying component of `start` after dropping arrows."""
     drop = set(dropped_arrows)
-    adj = {v: set() for v in quiver.vertices}
-    for a in quiver.arrows:
-        if a.name in drop:
-            continue
-        adj[a.source].add(a.target)
-        adj[a.target].add(a.source)
     seen = {start}
     stack = [start]
     while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
+        v = stack.pop()
+        for a in quiver.arrows_from(v) + quiver.arrows_into(v):
+            w = a.target if a.source == v else a.source
+            if a.name not in drop and w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-@lru_cache(maxsize=None)
-def _cached_classify(bq: BoundQuiver) -> AlgebraClass:
-    return classify(bq)

@@ -10,10 +10,9 @@ a is traversed backwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CapExceeded, NoRelations, NotStringAlgebra, RepresentationInfinite
-from .quiver import BoundQuiver, Quiver, classify, path_walk
+from .quiver import BoundQuiver, Quiver, classify, path_walk, per_algebra
 from .reductions import zero_relation_vertices
 
 DEFAULT_STRING_CAP = 10_000
@@ -120,7 +119,7 @@ def _band_check(bq: BoundQuiver, walk: StringWalk):
         )
 
 
-@lru_cache(maxsize=None)
+@per_algebra
 def oriented_strings(bq: BoundQuiver, cap: int = DEFAULT_STRING_CAP) -> tuple[StringWalk, ...]:
     """Every valid oriented walk, trivial walks included, breadth-first by
     length and lexicographic within a length."""
@@ -156,7 +155,7 @@ def oriented_strings(bq: BoundQuiver, cap: int = DEFAULT_STRING_CAP) -> tuple[St
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_algebra
 def enumerate_strings(bq: BoundQuiver, cap: int = DEFAULT_STRING_CAP) -> tuple[StringWalk, ...]:
     """The finite set of strings, one canonical representative each."""
     seen = {}

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from radindex.cli import main
 
 from conftest import FIXTURES
@@ -65,6 +67,15 @@ def test_index_machine_deterministic():
     assert payload["r"] == 13
     assert payload["schema"] == "radindex.report/1"
     assert payload["per_vertex_r"]["3"] == 12
+
+
+@pytest.mark.parametrize("name", ["e1", "e2", "e3", "e4"])
+def test_index_all_machine_matches_golden(name):
+    """`<name>.index-all.json` holds the report of an earlier release;
+    refactors must leave it byte-identical."""
+    code, text = run("--format", "machine", "index", "--method", "all", fixture(name))
+    assert code == 0
+    assert text == (FIXTURES / f"{name}.index-all.json").read_text()
 
 
 def test_index_string_policy_rejected_for_non_string():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from radindex.errors import (
@@ -21,7 +24,8 @@ from radindex.formulas import (
     toupie_index,
 )
 from radindex.knitting import knit, nilpotency_knit
-from radindex.quiver import classify, dynkin_type
+from radindex import formulas
+from radindex.quiver import classify, dynkin_type, parse_bound_quiver
 
 from conftest import (
     commutative_toupie,
@@ -432,3 +436,39 @@ def test_report_serialization_is_stable(e1):
     payload = json.loads(r1)
     assert payload["schema"] == "radindex.report/1"
     assert payload["r"] == 13
+
+
+def test_route_knits_a_failing_algebra_once(monkeypatch):
+    """A representation-infinite single-relation tree: the pullback formula
+    and the knitting oracle read one knit attempt and report its error."""
+    bq = parse_bound_quiver(
+        "vertices: 1..7\n"
+        "arrow a: 2 -> 1\narrow b: 3 -> 1\narrow c: 4 -> 1\narrow d: 5 -> 1\n"
+        "arrow e: 1 -> 6\narrow f: 6 -> 7\n"
+        "zero: f * e\n"
+    )
+    calls = []
+
+    def counting_knit(*args):
+        calls.append(args)
+        return knit(*args)
+
+    monkeypatch.setattr(formulas, "knit", counting_knit)
+    with pytest.raises(Unsupported) as info:
+        route(bq, "all", 300)
+    assert len(calls) == 1
+    report = info.value.report
+    pb, kn = report.method("pullback_formula"), report.method("knit")
+    assert pb.status == kn.status == "error"
+    assert pb.error == kn.error
+
+
+def test_route_leaves_no_reference_to_the_algebra(e1):
+    from radindex.quiver import serialize
+
+    bq = parse_bound_quiver(serialize(e1))
+    assert route(bq, "all").r_value == 13
+    ref = weakref.ref(bq)
+    del bq
+    gc.collect()
+    assert ref() is None
