@@ -107,19 +107,37 @@ class OverlappedRelations(RadindexError):
     pass
 
 
+class NoSharedVertex(RadindexError, ValueError):
+    """Two overlapped zero-relations share no involved vertex, so the
+    representative set has no vertex to choose for the pair.
+
+    Also a ValueError, the type this case raised before it had a name:
+    the benchmark's stage tracer (bench/spans.py) catches it as one."""
+
+
 class ShapeMismatch(RadindexError):
     """The relation layout does not match the glued-blocks shape."""
 
 
 class FormulaInapplicable(RadindexError):
     """The pullback formula's hypothesis failed (the middle subcategory is
-    empty).  Carries the naive formula value and the knitting fallback."""
+    empty).  Carries the naive formula value, the knitting fallback, the
+    part indices, the matched family and the sectional criterion."""
 
-    def __init__(self, message, naive_value=None, fallback_value=None):
+    def __init__(self, message, naive_value=None, fallback_value=None,
+                 parts=None, family=None, sectional=None):
         super().__init__(message)
         self.naive_value = naive_value
         self.fallback_value = fallback_value
+        self.parts = parts
+        self.family = family
+        self.sectional = sectional
 
 
 class Unsupported(RadindexError):
-    """No implemented method applies to the input."""
+    """No implemented method applies to the input.  Carries the index
+    report of the methods that were tried."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report

@@ -285,15 +285,14 @@ def pullback_index(bq: BoundQuiver, cap: int = DEFAULT_CAP,
     if b_nonempty(bq, split, ar):
         return PullbackIndex(naive, parts, types, True, family, sect, split)
     fallback = nilpotency_knit(bq, cap, ar=ar).value
-    exc = FormulaInapplicable(
+    raise FormulaInapplicable(
         f"middle subcategory empty; naive formula value {naive}, true index {fallback}",
         naive_value=naive,
         fallback_value=fallback,
+        parts=parts,
+        family=family,
+        sectional=sect,
     )
-    exc.parts = parts
-    exc.family = family
-    exc.sectional = sect
-    raise exc
 
 
 @dataclass
@@ -604,9 +603,9 @@ def route(bq: BoundQuiver, policy: str = "auto", cap: int = DEFAULT_CAP) -> Inde
                     "naive_value": exc.naive_value,
                     "fallback_value": exc.fallback_value,
                     "b_nonempty": False,
-                    "parts": getattr(exc, "parts", {}),
-                    "family": getattr(exc, "family", None),
-                    "sectional": getattr(exc, "sectional", None),
+                    "parts": exc.parts,
+                    "family": exc.family,
+                    "sectional": exc.sectional,
                 },
             )
         except RadindexError as exc:
@@ -665,9 +664,7 @@ def route(bq: BoundQuiver, policy: str = "auto", cap: int = DEFAULT_CAP) -> Inde
 
     report = IndexReport(policy, value, results, agreement, per_vertex, used)
     if value is None:
-        exc = Unsupported(_unsupported_message(report))
-        exc.report = report
-        raise exc
+        raise Unsupported(_unsupported_message(report), report=report)
     return report
 
 

@@ -1,15 +1,15 @@
-"""Exact linear algebra on path spaces of a bound quiver algebra.
+"""Path spaces of a bound quiver algebra and the dimension vectors they give.
 
-Everything here works over the rationals (fractions.Fraction); dimensions
-are exact integers.  The basis of e_b A e_a is computed by enumerating the
-paths a -> b and quotienting by the subspace generated by the relations
-closed under left/right path multiplication.
+Everything here is integer counting; no linear algebra is needed.  The
+relations are zero paths and commutativity relations p = q, so inside the
+paths a -> b the ideal is spanned by single paths and by differences of two
+paths.  A basis of e_b A e_a therefore has one path per class of paths made
+equal by the relations, leaving out the classes that hold a zero path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonAdmissible
 from .quiver import (
@@ -17,6 +17,7 @@ from .quiver import (
     ZERO,
     BoundQuiver,
     Quiver,
+    partition,
     path_walk,
     per_algebra,
 )
@@ -120,68 +121,6 @@ def all_paths(bq: BoundQuiver, a: int, b: int) -> tuple[tuple[str, ...], ...]:
 
 
 # --------------------------------------------------------------------------
-# rational row reduction
-# --------------------------------------------------------------------------
-
-class _Eliminator:
-    """Incremental row echelon form over Fraction, vectors as sparse dicts."""
-
-    def __init__(self):
-        self.rows = {}  # pivot index -> reduced row dict
-
-    def _reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        for pivot in sorted(vec):
-            if pivot not in self.rows:
-                continue
-            coef = vec.get(pivot)
-            if not coef:
-                continue
-            row = self.rows[pivot]
-            for j, rj in row.items():
-                new = vec.get(j, Fraction(0)) - coef * rj
-                if new:
-                    vec[j] = new
-                else:
-                    vec.pop(j, None)
-        return {j: c for j, c in vec.items() if c}
-
-    def residue(self, vec: dict) -> tuple:
-        """Canonical reduced form of vec modulo the current row space."""
-        red = self._reduce(vec)
-        return tuple(sorted(red.items()))
-
-    def contains(self, vec: dict) -> bool:
-        return not self._reduce(vec)
-
-    def add(self, vec: dict) -> bool:
-        """Insert vec; returns True if it enlarged the row space."""
-        red = self._reduce(vec)
-        if not red:
-            return False
-        pivot = min(red)
-        inv = Fraction(1) / red[pivot]
-        row = {j: c * inv for j, c in red.items()}
-        # keep echelon form reduced against the new pivot
-        for p, other in list(self.rows.items()):
-            coef = other.get(pivot)
-            if coef:
-                for j, rj in row.items():
-                    new = other.get(j, Fraction(0)) - coef * rj
-                    if new:
-                        other[j] = new
-                    else:
-                        other.pop(j, None)
-        self.rows[pivot] = row
-        return True
-
-    def copy(self) -> "_Eliminator":
-        out = _Eliminator()
-        out.rows = {p: dict(r) for p, r in self.rows.items()}
-        return out
-
-
-# --------------------------------------------------------------------------
 # path space bases
 # --------------------------------------------------------------------------
 
@@ -197,58 +136,44 @@ class PathSpaceBasis:
         return len(self.basis)
 
 
-def _relation_generators(bq: BoundQuiver, paths, index):
-    """Sparse vectors spanning the relation subspace inside span(paths)."""
-    gens = []
+def _relation_generators(bq: BoundQuiver, paths):
+    """The zero paths among `paths`, and the pairs of them that one
+    commutativity relation, applied inside a longer path, makes equal.
+
+    A path whose partner was not enumerated is zero: on a cyclic quiver
+    `all_paths` leaves out exactly the paths through a zero-relation."""
+    enumerated = set(paths)
     walks = [path_walk(p) for p in paths]
+    zero = set()
+    pairs = []
     for rel in bq.relations:
-        if rel.kind == ZERO:
-            zw = path_walk(rel.path)
-            m = len(zw)
-            for path, walk in zip(paths, walks):
+        rel_walks = [path_walk(p) for p in rel.paths]
+        for path, walk in zip(paths, walks):
+            for j, rw in enumerate(rel_walks):
+                m = len(rw)
                 for i in range(len(walk) - m + 1):
-                    if tuple(walk[i:i + m]) == zw:
-                        gens.append({index[path]: Fraction(1)})
-                        break
-        else:
-            pw, qw = (path_walk(p) for p in rel.paths)
-            m = len(pw)
-            for path, walk in zip(paths, walks):
-                for i in range(len(walk) - m + 1):
-                    if tuple(walk[i:i + m]) == pw:
-                        partner_walk = walk[:i] + qw + walk[i + m:]
-                        partner = tuple(reversed(partner_walk))
-                        if partner in index:
-                            gens.append({index[path]: Fraction(1),
-                                         index[partner]: Fraction(-1)})
-    return gens
+                    if walk[i:i + m] != rw:
+                        continue
+                    if rel.kind == ZERO:
+                        zero.add(path)
+                        continue
+                    partner = tuple(reversed(walk[:i] + rel_walks[1 - j] + walk[i + m:]))
+                    if partner in enumerated:
+                        pairs.append((path, partner))
+                    else:
+                        zero.add(path)
+    return zero, pairs
 
 
 @per_algebra
 def path_basis(bq: BoundQuiver, a: int, b: int) -> PathSpaceBasis:
-    """Basis of e_b (kQ/I) e_a with lexicographically least representatives."""
+    """Basis of e_b (kQ/I) e_a: the lexicographically least path of each
+    class of equal paths that holds no zero path."""
     paths = all_paths(bq, a, b)
-    index = {p: i for i, p in enumerate(paths)}
-    rel = _Eliminator()
-    for gen in _relation_generators(bq, paths, index):
-        rel.add(gen)
-
-    # group the surviving paths into equivalence classes: p ~ q iff their
-    # residues modulo the relation subspace coincide
-    groups: dict[tuple, list] = {}
-    for p in paths:
-        res = rel.residue({index[p]: Fraction(1)})
-        if not res:
-            continue  # the path itself is zero in the quotient
-        groups.setdefault(res, []).append(p)
-    classes = tuple(frozenset(g) for g in sorted(groups.values(), key=min))
-
-    span = rel.copy()
-    basis = []
-    for p in paths:
-        if span.add({index[p]: Fraction(1)}):
-            basis.append(p)
-    return PathSpaceBasis(a, b, tuple(basis), classes)
+    zero, pairs = _relation_generators(bq, paths)
+    classes = [c for c in partition(paths, pairs) if zero.isdisjoint(c)]
+    return PathSpaceBasis(a, b, tuple(c[0] for c in classes),
+                          tuple(frozenset(c) for c in classes))
 
 
 @per_algebra
@@ -269,51 +194,30 @@ def dim_injective(bq: BoundQuiver, a: int) -> DimensionVector:
 
 def _grouped_summands(bq: BoundQuiver, a: int, incoming: bool) -> tuple[DimensionVector, ...]:
     """Indecomposable summand dimension vectors of rad P_a (incoming=False)
-    or of I_a / soc I_a (incoming=True).
+    or of I_a / soc I_a (incoming=True), ordered by least boundary arrow.
 
     Nontrivial path classes are grouped by their boundary arrow at `a`
     (first arrow for rad P_a, last arrow for I_a/soc); commutativity
     relations that identify paths through different arrows merge groups."""
     q = bq.quiver
     boundary = q.arrows_into(a) if incoming else q.arrows_from(a)
-    parent = {arr.name: arr.name for arr in boundary}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    per_vertex_classes = {}
+    # boundary arrow: last applied (composition head) when incoming,
+    # first applied (composition tail) when outgoing
+    end = 0 if incoming else -1
+    class_ends = {}
     for v in q.vertices:
         basis = path_basis(bq, v, a) if incoming else path_basis(bq, a, v)
-        classes = [cls for cls in basis.classes if all(p for p in cls)]
-        per_vertex_classes[v] = classes
-        for cls in classes:
-            # boundary arrow: last applied (composition head) when incoming,
-            # first applied (composition tail) when outgoing
-            arrows_of_cls = {p[0] if incoming else p[-1] for p in cls}
-            first = next(iter(arrows_of_cls))
-            for other in arrows_of_cls:
-                union(first, other)
-
-    anchors = sorted({find(arr.name) for arr in boundary})
-    out = []
-    for anchor in anchors:
-        counts = []
-        for v in q.vertices:
-            n = sum(
-                1 for cls in per_vertex_classes[v]
-                if find(next(iter(cls))[0] if incoming else next(iter(cls))[-1]) == anchor
-            )
-            counts.append(n)
-        dv = DimensionVector(q.vertices, tuple(counts))
-        if not dv.is_zero():
-            out.append(dv)
-    return tuple(out)
+        class_ends[v] = [[p[end] for p in cls] for cls in basis.classes if () not in cls]
+    groups = partition(
+        [arr.name for arr in boundary],
+        [(ends[0], e) for per_class in class_ends.values() for ends in per_class for e in ends],
+    )
+    group_of = {name: i for i, group in enumerate(groups) for name in group}
+    counts = [[0] * len(q.vertices) for _ in groups]
+    for j, v in enumerate(q.vertices):
+        for ends in class_ends[v]:
+            counts[group_of[ends[0]]][j] += 1
+    return tuple(DimensionVector(q.vertices, tuple(c)) for c in counts if any(c))
 
 
 @per_algebra

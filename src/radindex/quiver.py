@@ -49,6 +49,27 @@ def per_algebra(fn):
     return memoized
 
 
+def partition(items, pairs) -> list[list]:
+    """Classes of ``items`` under the equivalence generated by ``pairs``.
+
+    Each class keeps the order of ``items``; classes come in the order of
+    their first members."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        parent[find(x)] = find(y)
+    classes: dict = {}
+    for x in items:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
 @dataclass(frozen=True, order=True)
 class Arrow:
     name: str
@@ -195,15 +216,6 @@ def path_target(quiver: Quiver, path: tuple[str, ...]) -> int:
     return quiver.arrow(path[0]).target
 
 
-def path_vertices(quiver: Quiver, path: tuple[str, ...]) -> tuple[int, ...]:
-    """Vertices visited by the path, in walk order."""
-    walk = path_walk(path)
-    out = [quiver.arrow(walk[0]).source]
-    for name in walk:
-        out.append(quiver.arrow(name).target)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BoundQuiver:
     quiver: Quiver
@@ -244,9 +256,6 @@ class BoundQuiver:
 
     def zero_relations(self) -> tuple[Relation, ...]:
         return tuple(r for r in self.relations if r.kind == ZERO)
-
-    def comm_relations(self) -> tuple[Relation, ...]:
-        return tuple(r for r in self.relations if r.kind == COMM)
 
     def is_monomial(self) -> bool:
         return all(r.kind == ZERO for r in self.relations)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoInteriorVertex, NotToupie
+from .errors import NoInteriorVertex, NoSharedVertex, NotToupie
 from .quiver import (
     COMM,
     BoundQuiver,
     Relation,
+    partition,
     path_walk,
     toupie_shape,
 )
@@ -101,6 +102,11 @@ def representative_set(bq: BoundQuiver) -> VertexSelection:
     overlapped = report.relations_overlapped()
     prov = []
     for r1, r2, inter in report.pairs:
+        if not inter:
+            raise NoSharedVertex(
+                f"overlapped zero-relations {relation_text(r1)} and "
+                f"{relation_text(r2)} share no involved vertex"
+            )
         v = min(inter)
         prov.append((v, f"overlap of {relation_text(r1)} and {relation_text(r2)}"))
     for rel in bq.zero_relations():
@@ -137,21 +143,10 @@ def commutative_toupie_shape(bq: BoundQuiver):
             cur = v
         branch_paths.append(tuple(reversed(walk)))  # composition order
 
-    index = {p: i for i, p in enumerate(branch_paths)}
-    parent = list(range(len(branches)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for rel in bq.relations:
-        p1, p2 = rel.paths
-        if p1 not in index or p2 not in index:
+        if any(p not in branch_paths for p in rel.paths):
             raise NotToupie("commutativity relation is not between full branch paths")
-        parent[find(index[p1])] = find(index[p2])
-    if len({find(i) for i in range(len(branches))}) != 1:
+    if len(partition(branch_paths, [rel.paths for rel in bq.relations])) != 1:
         raise NotToupie("commutativity relations do not identify all branches")
     return a, b, branches
 

@@ -120,7 +120,7 @@ def _band_check(bq: BoundQuiver, walk: StringWalk):
 
 
 @per_algebra
-def oriented_strings(bq: BoundQuiver, cap: int = DEFAULT_STRING_CAP) -> tuple[StringWalk, ...]:
+def oriented_strings(bq: BoundQuiver, cap: int) -> tuple[StringWalk, ...]:
     """Every valid oriented walk, trivial walks included, breadth-first by
     length and lexicographic within a length."""
     _require_string(bq)
@@ -185,7 +185,7 @@ def string_fan(bq: BoundQuiver, u: int, side: str) -> StringFan:
     arrow)."""
     _require_string(bq)
     members = {}
-    for walk in oriented_strings(bq):
+    for walk in oriented_strings(bq, DEFAULT_STRING_CAP):
         if walk.is_trivial:
             if walk.start == u:
                 members.setdefault(_string_key(walk), walk)
@@ -221,7 +221,7 @@ def arrow_string_sets(bq: BoundQuiver, arrow_name: str) -> ArrowStringSets:
     bq.quiver.arrow(arrow_name)  # raises UnknownArrow
     starting = {}
     ending = {}
-    for walk in oriented_strings(bq):
+    for walk in oriented_strings(bq, DEFAULT_STRING_CAP):
         if walk.is_trivial:
             continue
         if walk.letters[0] == (arrow_name, 1):

@@ -99,6 +99,21 @@ def test_explain_machine(e4):
     assert payload["overlaps"][0]["intersection"] == [3, 4]
 
 
+def test_explain_overlap_without_shared_vertex_exits_1(tmp_path, capsys):
+    """A_4 with zero b*a and c*b: the two relations overlap on b but share
+    no involved vertex, so no representative can be chosen for the pair."""
+    path = tmp_path / "a4.quiv"
+    path.write_text(
+        "vertices: 1..4\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
+        "zero: b * a\nzero: c * b\n"
+    )
+    code, _ = run("explain", str(path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "b * a" in err and "c * b" in err
+
+
 def test_crosscheck_agreement_exit_zero():
     code, text = run("crosscheck", fixture("e1"))
     assert code == 0

@@ -23,11 +23,12 @@ from radindex.formulas import (
     sectional_criterion,
     toupie_index,
 )
-from radindex.knitting import knit, nilpotency_knit
+from radindex.knitting import DEFAULT_CAP, knit, nilpotency_knit
 from radindex import formulas
 from radindex.quiver import classify, dynkin_type, parse_bound_quiver
 
 from conftest import (
+    FIXTURES,
     commutative_toupie,
     family_instances,
     linear_quiver,
@@ -438,15 +439,19 @@ def test_report_serialization_is_stable(e1):
     assert payload["r"] == 13
 
 
+# A representation-infinite single-relation tree.
+WILD_TREE = (
+    "vertices: 1..7\n"
+    "arrow a: 2 -> 1\narrow b: 3 -> 1\narrow c: 4 -> 1\narrow d: 5 -> 1\n"
+    "arrow e: 1 -> 6\narrow f: 6 -> 7\n"
+    "zero: f * e\n"
+)
+
+
 def test_route_knits_a_failing_algebra_once(monkeypatch):
     """A representation-infinite single-relation tree: the pullback formula
     and the knitting oracle read one knit attempt and report its error."""
-    bq = parse_bound_quiver(
-        "vertices: 1..7\n"
-        "arrow a: 2 -> 1\narrow b: 3 -> 1\narrow c: 4 -> 1\narrow d: 5 -> 1\n"
-        "arrow e: 1 -> 6\narrow f: 6 -> 7\n"
-        "zero: f * e\n"
-    )
+    bq = parse_bound_quiver(WILD_TREE)
     calls = []
 
     def counting_knit(*args):
@@ -472,3 +477,28 @@ def test_route_leaves_no_reference_to_the_algebra(e1):
     del bq
     gc.collect()
     assert ref() is None
+
+
+def _freed_by_reference_counting(text, cap):
+    """Route a fresh parse of `text` with the cycle collector off and tell
+    whether the algebra is freed as soon as the caller drops it."""
+    gc.disable()
+    try:
+        bq = parse_bound_quiver(text)
+        ref = weakref.ref(bq)
+        try:
+            route(bq, "all", cap)
+        except Unsupported:
+            pass
+        del bq
+        return ref() is None
+    finally:
+        gc.enable()
+
+
+def test_route_frees_the_algebra_after_an_inapplicable_pullback():
+    assert _freed_by_reference_counting((FIXTURES / "e2.quiv").read_text(), DEFAULT_CAP)
+
+
+def test_route_frees_the_algebra_after_unsupported():
+    assert _freed_by_reference_counting(WILD_TREE, 300)

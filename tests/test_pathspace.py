@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import radindex
 from radindex.pathspace import (
     DimensionVector,
     dim_injective,
@@ -9,7 +15,7 @@ from radindex.pathspace import (
     radical_summands,
     top_of_injective_summands,
 )
-from radindex.quiver import Arrow, BoundQuiver, Quiver
+from radindex.quiver import Arrow, BoundQuiver, Quiver, parse_bound_quiver
 
 from conftest import (
     brute_relation_free_paths,
@@ -132,3 +138,56 @@ def test_top_of_injective_merges_in_commutative_square():
     bq = commutative_toupie((1, 1))
     tops = top_of_injective_summands(bq, 4)
     assert len(tops) == 1 and tops[0].counts == (1, 1, 1, 0)
+
+
+# A commutative square 1 -> 4 with a tail 4 -> 5 that kills one branch.
+SQUARE_WITH_TAIL = (
+    "vertices: 1..5\n"
+    "arrow a: 1 -> 2\narrow b: 2 -> 4\narrow c: 1 -> 3\narrow d: 3 -> 4\narrow e: 4 -> 5\n"
+    "comm: b * a = d * c\nzero: e * b\n"
+)
+
+
+def test_zero_path_kills_its_whole_class():
+    bq = parse_bound_quiver(SQUARE_WITH_TAIL)
+    assert path_basis(bq, 1, 5).dimension == 0  # e*d*c = e*b*a = 0
+    assert path_basis(bq, 2, 5).dimension == 0
+    pb = path_basis(bq, 3, 5)
+    assert pb.dimension == 1 and pb.basis == (("e", "d"),)
+    pb = path_basis(bq, 1, 4)
+    assert pb.dimension == 1 and pb.classes == (frozenset({("b", "a"), ("d", "c")}),)
+
+
+def test_commutativity_partner_through_zero_relation_on_cyclic_quiver():
+    """On a cyclic quiver the path e*b*a runs through the zero-relation e*b
+    and is not enumerated; its partner e*d*c is still zero."""
+    bq = parse_bound_quiver(
+        SQUARE_WITH_TAIL + "arrow f: 5 -> 1\nzero: a * f\nzero: c * f\n"
+    )
+    assert not bq.quiver.is_directed_acyclic()
+    assert path_basis(bq, 1, 5).dimension == 0
+
+
+def test_radical_summands_order_does_not_depend_on_hash_seed():
+    """Vertex 1 has boundary arrows a, b, c; the commutativity relation
+    merges the summands through a and c, which then come first."""
+    text = (
+        "vertices: 1..5\n"
+        "arrow a: 1 -> 2\narrow c: 1 -> 3\narrow b: 1 -> 5\n"
+        "arrow d: 2 -> 4\narrow e: 3 -> 4\n"
+        "comm: d * a = e * c\n"
+    )
+    code = (
+        "from radindex.pathspace import radical_summands\n"
+        "from radindex.quiver import parse_bound_quiver\n"
+        f"print([s.counts for s in radical_summands(parse_bound_quiver({text!r}), 1)])\n"
+    )
+    src = str(Path(radindex.__file__).resolve().parents[1])
+    printed = set()
+    for seed in "0123":
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        printed.add(proc.stdout)
+    assert printed == {"[(0, 1, 1, 1, 0), (0, 0, 0, 0, 1)]\n"}

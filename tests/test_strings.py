@@ -2,7 +2,7 @@ import pytest
 
 from radindex.errors import NoRelations, NotStringAlgebra, RepresentationInfinite
 from radindex.knitting import has_length, knit, nilpotency_knit
-from radindex.quiver import Arrow, BoundQuiver, Quiver, path_walk
+from radindex.quiver import Arrow, BoundQuiver, Quiver, parse_bound_quiver, path_walk, serialize
 from radindex.reductions import involved_vertices, overlap_report, zero_relation_vertices
 from radindex.strings import (
     END,
@@ -11,6 +11,7 @@ from radindex.strings import (
     arrow_string_sets,
     enumerate_strings,
     nilpotency_string,
+    oriented_strings,
     r_u_string,
     string_fan,
 )
@@ -241,3 +242,11 @@ def test_relstring_corollary_constant_interior():
             assert len(values) == 1, (bq, rel, values)
             checked += 1
     assert checked >= 10
+
+
+def test_strings_are_enumerated_once_per_algebra(e4):
+    bq = parse_bound_quiver(serialize(e4))
+    enumerate_strings(bq)
+    nilpotency_string(bq)
+    keys = [args for fn, args in bq._memo if fn is oriented_strings.__wrapped__]
+    assert len(keys) == 1
