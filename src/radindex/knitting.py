@@ -10,6 +10,9 @@ A projective P_a enters once every indecomposable summand of rad P_a is
 already knitted; a ray stops when its dimension vector matches an
 injective.  Arrows always point from older to newer nodes, so node ids
 form a topological order of the resulting translation quiver.
+
+r_a is read off a grading l of the knitted quiver as l(I_a) - l(P_a) when
+one exists, and by shortest paths otherwise.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .pathspace import (
     dim_simple,
     radical_summands,
 )
-from .quiver import BoundQuiver
+from .quiver import BoundQuiver, per_algebra
 
 DEFAULT_CAP = 10_000
 
@@ -68,7 +71,9 @@ class ARQuiver:
     tau: dict[int, int] = field(default_factory=dict)      # z -> x with z = tau^{-1} x
     tau_inv: dict[int, int] = field(default_factory=dict)  # x -> z
     by_dim: dict[DimensionVector, int] = field(default_factory=dict)
-    _has_length: Optional[bool] = None
+    # Results of the ``per_algebra`` functions below (grading, has_length,
+    # reach); the quiver must not change once one of them has run.
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -216,18 +221,41 @@ def check_mesh_identities(ar: ARQuiver) -> list[int]:
 # path structure of the knitted quiver
 # --------------------------------------------------------------------------
 
+@per_algebra
+def grading(ar: ARQuiver) -> Optional[list[int]]:
+    """Levels l with l(head) = l(tail) + 1 on every arrow, by node id, or
+    None when no such levels exist.
+
+    One walk over the underlying graph; each component starts at level 0."""
+    level: list[Optional[int]] = [None] * len(ar.nodes)
+    for root in range(len(ar.nodes)):
+        if level[root] is not None:
+            continue
+        level[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for nbrs, step in ((ar.out[u], 1), (ar.inn[u], -1)):
+                for v in nbrs:
+                    if level[v] is None:
+                        level[v] = level[u] + step
+                        stack.append(v)
+                    elif level[v] != level[u] + step:
+                        return None
+    return level
+
+
+@per_algebra
 def has_length(ar: ARQuiver) -> bool:
     """True iff for every node pair all directed paths have equal length.
 
-    Node ids are already a topological order, so a single sweep per source
-    computing shortest and longest distances suffices."""
-    if ar._has_length is not None:
-        return ar._has_length
+    With a grading l, every path x -> y has length l(y) - l(x).  Without
+    one, node ids are a topological order, so a single sweep per source
+    computing shortest and longest distances decides."""
+    if grading(ar) is not None:
+        return True
     n = len(ar.nodes)
-    ok = True
     for s in range(n):
-        if not ok:
-            break
         lo = {s: 0}
         hi = {s: 0}
         for u in range(s, n):
@@ -241,9 +269,8 @@ def has_length(ar: ARQuiver) -> bool:
                 if v not in hi or d > hi[v]:
                     hi[v] = d
         if any(lo[v] != hi[v] for v in lo):
-            ok = False
-    ar._has_length = ok
-    return ok
+            return False
+    return True
 
 
 def distance(ar: ARQuiver, src: int, tgt: int) -> int:
@@ -270,7 +297,14 @@ def r_a_knit(ar: ARQuiver, a: int) -> int:
     p = ar.projective(a).ident
     s = ar.simple(a).ident
     i = ar.injective(a).ident
-    return distance(ar, p, s) + distance(ar, s, i)
+    level = grading(ar)
+    if level is None:
+        return distance(ar, p, s) + distance(ar, s, i)
+    succ = reach(ar).succ
+    for src, tgt in ((p, s), (s, i)):
+        if not succ[src] >> tgt & 1:
+            raise NoPath(f"no path from node {src} to node {tgt}")
+    return level[i] - level[p]
 
 
 @dataclass
@@ -335,6 +369,7 @@ def _bits(mask: int) -> set[int]:
     return out
 
 
+@per_algebra
 def reach(ar: ARQuiver) -> ReachabilityIndex:
     n = len(ar.nodes)
     succ = [0] * n

@@ -31,8 +31,9 @@ ADMISSIBILITY_CAP = 64
 
 
 def per_algebra(fn):
-    """Memoize ``fn(bq, *args)`` in a dict that lives on the bound quiver
-    ``bq``, so derived data is computed once per algebra and freed with it.
+    """Memoize ``fn(bq, *args)`` in a dict that lives on ``bq``, a bound
+    quiver or an AR quiver knitted from one, so derived data is computed
+    once per algebra and freed with it.
 
     The memo is filled lazily without a lock: concurrent callers may compute
     an entry twice, with equal results."""

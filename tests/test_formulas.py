@@ -348,6 +348,47 @@ def test_glued_matches_knit_generated():
     assert checked >= 25
 
 
+# Two-relation monomial trees on which the block maximum falls short of the
+# knitted index; each key ends with the glued and the knitted value.  They
+# pass once `glued_index` abstains outside the hypothesis of the block
+# maximum.
+GLUED_SHORT = {
+    "concatenated zones, 9 vs 10": (
+        "vertices: 1..8\n"
+        "arrow a2: 2 -> 1\narrow a3: 2 -> 3\narrow a4: 4 -> 2\narrow a5: 1 -> 5\n"
+        "arrow a6: 5 -> 6\narrow a7: 2 -> 7\narrow a8: 8 -> 6\n"
+        "zero: a2 * a4\nzero: a6 * a5\n"
+    ),
+    "nine vertices, 11 vs 12": (
+        "vertices: 1..9\n"
+        "arrow a2: 6 -> 2\narrow a3: 5 -> 2\narrow a4: 4 -> 5\narrow a5: 5 -> 1\n"
+        "arrow a6: 1 -> 9\narrow a7: 9 -> 7\narrow a8: 8 -> 7\narrow a9: 3 -> 2\n"
+        "zero: a7 * a6\nzero: a5 * a4\n"
+    ),
+    "ten vertices, 17 vs 19": (
+        "vertices: 1..10\n"
+        "arrow a2: 10 -> 8\narrow a3: 3 -> 8\narrow a4: 9 -> 10\narrow a5: 3 -> 1\n"
+        "arrow a6: 5 -> 9\narrow a7: 2 -> 5\narrow a8: 7 -> 5\narrow a9: 6 -> 5\n"
+        "arrow a10: 2 -> 4\n"
+        "zero: a2 * a4\nzero: a6 * a8\n"
+    ),
+    "zones one arrow apart, 11 vs 12": (
+        "vertices: 1..9\n"
+        "arrow a2: 7 -> 5\narrow a3: 6 -> 5\narrow a4: 7 -> 1\narrow a5: 1 -> 3\n"
+        "arrow a6: 8 -> 6\narrow a7: 4 -> 6\narrow a8: 9 -> 3\narrow a9: 2 -> 6\n"
+        "zero: a3 * a6\nzero: a5 * a4\n"
+    ),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="glued_index applies the block maximum "
+                   "outside its hypothesis")
+@pytest.mark.parametrize("text", GLUED_SHORT.values(), ids=GLUED_SHORT.keys())
+def test_glued_matches_knit_on_known_disagreements(text):
+    bq = parse_bound_quiver(text)
+    assert glued_index(bq).value == nilpotency_knit(bq).value
+
+
 # --------------------------------------------------------------------------
 # the router
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import pytest
 
-from radindex.errors import CapExceeded, NotFound, WithoutLength
+from radindex.errors import CapExceeded, NoPath, NotFound, WithoutLength
 from radindex.knitting import (
+    ARNode,
+    ARQuiver,
     check_mesh_identities,
     distance,
+    grading,
     has_length,
     knit,
     nilpotency_knit,
@@ -116,6 +119,56 @@ def test_r_a_sink_is_distance_to_injective(e1):
     # at a sink b, P_b = S_b, so r_b is the plain distance to I_b
     b = 7
     assert r_a_knit(ar, b) == distance(ar, ar.projective(b).ident, ar.injective(b).ident)
+
+
+def test_r_a_equals_the_sum_of_shortest_distances(e1, e2, e3, e4):
+    algebras = [e1, e2, e3, e4]
+    for kind in ("A", "D", "E"):
+        algebras += orientations(kind, 6)
+    algebras += [bq for bq, _ in random_monomial_trees(seed=73, count=30)]
+    for bq in algebras:
+        ar = knit(bq)
+        for a in bq.quiver.vertices:
+            p, s, i = (ar.projective(a).ident, ar.simple(a).ident,
+                       ar.injective(a).ident)
+            assert r_a_knit(ar, a) == distance(ar, p, s) + distance(ar, s, i), (bq, a)
+
+
+def test_grading_rises_by_one_along_every_arrow(e1):
+    for bq in [e1] + orientations("D", 6, limit=8):
+        ar = knit(bq)
+        level = grading(ar)
+        assert level is not None
+        for u in range(ar.node_count()):
+            for v in ar.out[u]:
+                assert level[v] == level[u] + 1
+
+
+def test_has_length_without_a_grading():
+    """The underlying cycle a-b-c-d-e of a -> b -> c <- d -> e <- a is
+    unbalanced, so no grading exists; no two paths share both ends, so the
+    quiver still has length, and the sweep has to say so."""
+    order = "adbec"  # node ids: a topological order
+    bq = linear_quiver(5)  # only labels the nodes
+    ar = ARQuiver(bq)
+    for ident in range(5):
+        unit = tuple(int(k == ident) for k in range(5))
+        ar.nodes.append(ARNode(ident, DimensionVector(bq.quiver.vertices, unit)))
+        ar.out[ident], ar.inn[ident] = {}, {}
+    for x, y in ("ab", "bc", "dc", "de", "ae"):
+        u, v = order.index(x), order.index(y)
+        ar.out[u][v] = ar.inn[v][u] = 1
+    assert grading(ar) is None
+    assert has_length(ar)
+
+
+def test_r_a_from_a_grading_needs_a_path():
+    ar = knit(linear_quiver(2))
+    p1, s1 = ar.projective(1).ident, ar.simple(1).ident
+    del ar.out[p1][s1], ar.inn[s1][p1]
+    assert grading(ar) is not None
+    with pytest.raises(NoPath):
+        r_a_knit(ar, 1)
 
 
 def test_mesh_identities_random_trees():
