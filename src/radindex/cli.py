@@ -9,6 +9,7 @@ configuration produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,6 +48,7 @@ INPUT_ERRORS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radindex",

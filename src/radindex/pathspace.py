@@ -5,6 +5,10 @@ relations are zero paths and commutativity relations p = q, so inside the
 paths a -> b the ideal is spanned by single paths and by differences of two
 paths.  A basis of e_b A e_a therefore has one path per class of paths made
 equal by the relations, leaving out the classes that hold a zero path.
+
+The paths from each source are enumerated once, extending only walks that
+contain no zero-relation; the bases e_b A e_a for every target b are read
+off that one enumeration.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from dataclasses import dataclass
 from .errors import NonAdmissible
 from .quiver import (
     ADMISSIBILITY_CAP,
-    ZERO,
+    COMM,
     BoundQuiver,
     Quiver,
+    ends_in_zero,
     partition,
     path_walk,
     per_algebra,
@@ -85,39 +90,27 @@ def dim_simple(quiver: Quiver, a: int) -> DimensionVector:
 # --------------------------------------------------------------------------
 
 @per_algebra
-def all_paths(bq: BoundQuiver, a: int, b: int) -> tuple[tuple[str, ...], ...]:
-    """All paths a -> b as composition-order tuples, lexicographically sorted.
+def all_paths(bq: BoundQuiver, a: int) -> dict[int, tuple[tuple[str, ...], ...]]:
+    """The paths from a that contain no zero-relation, by target, as
+    lexicographically sorted composition-order tuples.
 
-    The trivial path is represented by the empty tuple (only when a == b).
-    On cyclic quivers, prefixes that already contain a zero-relation are
-    pruned and growth is capped by the admissibility witness."""
+    The trivial path at a is the empty tuple.  A walk is extended only while
+    it is live, and one longer than the admissibility cap stops the
+    enumeration."""
     q = bq.quiver
-    acyclic = q.is_directed_acyclic()
-    zero_walks = [path_walk(r.path) for r in bq.relations if r.kind == ZERO]
-
-    def dead(walk):
-        for zw in zero_walks:
-            m = len(zw)
-            if len(walk) >= m and tuple(walk[-m:]) == zw:
-                return True
-        return False
-
-    found = []
-    def grow(v, walk):
-        if len(walk) > ADMISSIBILITY_CAP:
-            raise NonAdmissible("path enumeration exceeded the admissibility cap")
-        if v == b and walk:
-            found.append(tuple(reversed(walk)))
+    found = {a: [()]}
+    stack = [(a, ())]
+    while stack:
+        v, walk = stack.pop()
         for arrow in q.arrows_from(v):
-            nxt = walk + [arrow.name]
-            if not acyclic and dead(nxt):
+            nxt = walk + (arrow.name,)
+            if ends_in_zero(bq, nxt):
                 continue
-            grow(arrow.target, nxt)
-
-    grow(a, [])
-    if a == b:
-        found.append(())
-    return tuple(sorted(found))
+            if len(nxt) > ADMISSIBILITY_CAP:
+                raise NonAdmissible("path enumeration exceeded the admissibility cap")
+            found.setdefault(arrow.target, []).append(path_walk(nxt))
+            stack.append((arrow.target, nxt))
+    return {b: tuple(sorted(paths)) for b, paths in found.items()}
 
 
 # --------------------------------------------------------------------------
@@ -137,25 +130,23 @@ class PathSpaceBasis:
 
 
 def _relation_generators(bq: BoundQuiver, paths):
-    """The zero paths among `paths`, and the pairs of them that one
-    commutativity relation, applied inside a longer path, makes equal.
-
-    A path whose partner was not enumerated is zero: on a cyclic quiver
-    `all_paths` leaves out exactly the paths through a zero-relation."""
+    """The pairs of `paths` that one commutativity relation, applied inside
+    a longer path, makes equal, and the paths whose partner is not among
+    `paths`.  Those are zero: `all_paths` leaves out exactly the paths
+    through a zero-relation."""
     enumerated = set(paths)
     walks = [path_walk(p) for p in paths]
     zero = set()
     pairs = []
     for rel in bq.relations:
+        if rel.kind != COMM:
+            continue
         rel_walks = [path_walk(p) for p in rel.paths]
         for path, walk in zip(paths, walks):
             for j, rw in enumerate(rel_walks):
                 m = len(rw)
                 for i in range(len(walk) - m + 1):
                     if walk[i:i + m] != rw:
-                        continue
-                    if rel.kind == ZERO:
-                        zero.add(path)
                         continue
                     partner = tuple(reversed(walk[:i] + rel_walks[1 - j] + walk[i + m:]))
                     if partner in enumerated:
@@ -169,7 +160,7 @@ def _relation_generators(bq: BoundQuiver, paths):
 def path_basis(bq: BoundQuiver, a: int, b: int) -> PathSpaceBasis:
     """Basis of e_b (kQ/I) e_a: the lexicographically least path of each
     class of equal paths that holds no zero path."""
-    paths = all_paths(bq, a, b)
+    paths = all_paths(bq, a).get(b, ())
     zero, pairs = _relation_generators(bq, paths)
     classes = [c for c in partition(paths, pairs) if zero.isdisjoint(c)]
     return PathSpaceBasis(a, b, tuple(c[0] for c in classes),

@@ -26,7 +26,7 @@ from .errors import (
 ZERO = "zero"
 COMM = "comm"
 
-# Length cap used by the admissibility witness on cyclic inputs.
+# Longest path that path enumeration builds before it gives up.
 ADMISSIBILITY_CAP = 64
 
 
@@ -262,38 +262,50 @@ class BoundQuiver:
         return all(r.kind == ZERO for r in self.relations)
 
 
+@per_algebra
+def zero_walks(bq: BoundQuiver) -> tuple[tuple[str, ...], ...]:
+    """The zero-relations as walks, first-applied arrow first."""
+    return tuple(path_walk(r.path) for r in bq.zero_relations())
+
+
+def ends_in_zero(bq: BoundQuiver, walk: tuple[str, ...]) -> bool:
+    """True when some zero-relation is a suffix of ``walk`` (arrow names,
+    first-applied first): a live walk grown by one arrow is then dead."""
+    return any(walk[-len(zw):] == zw for zw in zero_walks(bq))
+
+
 def _check_admissible(bq: BoundQuiver):
     """Admissibility witness: some power of the arrow ideal lies in the ideal.
 
-    Acyclic quivers are automatically admissible.  On a directed cycle the
-    zero-relations must kill every long path; commutativity relations alone
-    never do, so cyclic inputs are grown monomially up to a cap."""
-    if bq.quiver.is_directed_acyclic():
+    Commutativity relations alone never kill a path, so the test is that the
+    walks containing no zero-relation have bounded length.  Whether a live
+    walk extends by an arrow depends only on its state: its end vertex and
+    its longest suffix that is a proper prefix of a zero-relation.  States
+    are grown length by length.  Once the length reaches the number of
+    states seen, some live walk passes one state twice, and repeating its
+    loop gives live walks of every length (the pigeonhole principle)."""
+    q = bq.quiver
+    if q.is_directed_acyclic():
         return
-    zero_walks = [path_walk(r.path) for r in bq.zero_relations()]
-
-    def alive(walk):
-        for zw in zero_walks:
-            m = len(zw)
-            for i in range(len(walk) - m + 1):
-                if tuple(walk[i:i + m]) == zw:
-                    return False
-        return True
-
-    frontier = [(a.name,) for a in bq.quiver.arrows]
-    length = 1
+    prefixes = {zw[:i] for zw in zero_walks(bq) for i in range(1, len(zw))}
+    frontier = {(v, ()) for v in q.vertices}
+    seen = set()
+    length = 0
     while frontier:
-        if length > ADMISSIBILITY_CAP:
+        seen |= frontier
+        if length >= len(seen):
             raise NonAdmissible(
-                f"paths still alive at length {ADMISSIBILITY_CAP}; ideal not admissible"
+                f"a live path of length {length} repeats a state, so paths of "
+                "every length avoid the zero-relations; ideal not admissible"
             )
-        nxt = []
-        for walk in frontier:
-            tail = bq.quiver.arrow(walk[-1]).target
-            for a in bq.quiver.arrows_from(tail):
-                cand = walk + (a.name,)
-                if alive(cand):
-                    nxt.append(cand)
+        nxt = set()
+        for v, suffix in frontier:
+            for a in q.arrows_from(v):
+                walk = suffix + (a.name,)
+                if not ends_in_zero(bq, walk):
+                    # keep the longest suffix that can still grow into a zero-relation
+                    i = next((i for i in range(len(walk)) if walk[i:] in prefixes), len(walk))
+                    nxt.add((a.target, walk[i:]))
         frontier = nxt
         length += 1
 

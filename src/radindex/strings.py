@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NoRelations, NotStringAlgebra, RepresentationInfinite
-from .quiver import BoundQuiver, Quiver, classify, path_walk, per_algebra
+from .quiver import BoundQuiver, Quiver, classify, per_algebra, zero_walks
 from .reductions import zero_relation_vertices
 
 DEFAULT_STRING_CAP = 10_000
@@ -62,29 +62,24 @@ def _letter_ends(q: Quiver, letter: Letter) -> tuple[int, int]:
     return (arrow.source, arrow.target) if letter[1] == 1 else (arrow.target, arrow.source)
 
 
-def _zero_walks(bq: BoundQuiver) -> tuple[tuple[str, ...], ...]:
-    return tuple(path_walk(r.path) for r in bq.zero_relations())
+@per_algebra
+def _zero_letters(bq: BoundQuiver) -> tuple[tuple[Letter, ...], ...]:
+    """Each zero-relation as string letters, read forwards (direct letters)
+    and backwards (inverse letters)."""
+    return tuple(letters for zw in zero_walks(bq)
+                 for letters in (tuple((name, 1) for name in zw),
+                                 tuple((name, -1) for name in reversed(zw))))
 
 
-def _window_hits_relation(letters: tuple[Letter, ...], zero_walks) -> bool:
+def _window_hits_relation(bq: BoundQuiver, letters: tuple[Letter, ...]) -> bool:
     """Check only the windows ending at the last letter (for incremental use)."""
-    n = len(letters)
-    for zw in zero_walks:
-        m = len(zw)
-        if m > n:
-            continue
-        tail = letters[n - m:]
-        if all(s == 1 for _, s in tail) and tuple(name for name, _ in tail) == zw:
-            return True
-        if all(s == -1 for _, s in tail) and tuple(name for name, _ in reversed(tail)) == zw:
-            return True
-    return False
+    return any(letters[-len(zl):] == zl for zl in _zero_letters(bq))
 
 
 def walk_is_string(bq: BoundQuiver, letters: tuple[Letter, ...]) -> bool:
-    """Full validity check used by tests as an independent oracle path."""
+    """Full validity check of a walk given letter by letter; the band check
+    runs it on powers of a cyclic walk."""
     q = bq.quiver
-    zero_walks = _zero_walks(bq)
     for i, letter in enumerate(letters):
         if i:
             prev = letters[i - 1]
@@ -92,7 +87,7 @@ def walk_is_string(bq: BoundQuiver, letters: tuple[Letter, ...]) -> bool:
                 return False
             if prev[0] == letter[0] and prev[1] == -letter[1]:
                 return False
-        if _window_hits_relation(letters[: i + 1], zero_walks):
+        if _window_hits_relation(bq, letters[: i + 1]):
             return False
     return True
 
@@ -125,7 +120,6 @@ def oriented_strings(bq: BoundQuiver, cap: int) -> tuple[StringWalk, ...]:
     length and lexicographic within a length."""
     _require_string(bq)
     q = bq.quiver
-    zero_walks = _zero_walks(bq)
     out: list[StringWalk] = [StringWalk((), v, v) for v in q.vertices]
     frontier = list(out)
     letters_at = {}
@@ -140,7 +134,7 @@ def oriented_strings(bq: BoundQuiver, cap: int) -> tuple[StringWalk, ...]:
                 if last is not None and letter[0] == last[0] and letter[1] == -last[1]:
                     continue
                 new_letters = walk.letters + (letter,)
-                if _window_hits_relation(new_letters, zero_walks):
+                if _window_hits_relation(bq, new_letters):
                     continue
                 new = StringWalk(new_letters, walk.start, _letter_ends(q, letter)[1])
                 _band_check(bq, new)

@@ -148,3 +148,14 @@ def test_dump_strings_non_string_exits_1():
 def test_cap_flag_respected():
     code, _ = run("--cap", "5", "index", "--method", "knit", fixture("e1"))
     assert code == 1  # cap too low reads as likely representation-infinite
+
+
+def test_each_call_reads_its_own_options():
+    code, text = run("--format", "machine", "--cap", "4000", "index", fixture("e1"))
+    assert code == 0
+    assert json.loads(text)["r"] == 13
+    code, text = run("--cap", "5", "dump-strings", fixture("e4"))
+    assert code == 1 and text == ""
+    code, text = run("index", fixture("e1"))
+    assert code == 0
+    assert text.startswith("r_A = 13\n")

@@ -543,3 +543,20 @@ def test_route_frees_the_algebra_after_an_inapplicable_pullback():
 
 def test_route_frees_the_algebra_after_unsupported():
     assert _freed_by_reference_counting(WILD_TREE, 300)
+
+
+def test_parse_and_route_leave_no_cyclic_garbage():
+    gc.collect()
+    flags = gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for name in ("e1", "e2", "e3", "e4"):
+            route(parse_bound_quiver((FIXTURES / f"{name}.quiv").read_text()), "all")
+        found = gc.collect()
+        garbage = gc.garbage[:]
+        gc.garbage.clear()
+    finally:
+        gc.set_debug(flags)
+        gc.enable()
+    assert found == 0, sorted({type(o).__name__ for o in garbage})

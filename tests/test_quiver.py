@@ -1,6 +1,13 @@
+import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import radindex
 
 from radindex.errors import (
     DuplicateName,
@@ -208,3 +215,134 @@ def test_cycle_with_killing_relations_is_admissible():
     q = Quiver((1, 2), (Arrow("a", 1, 2), Arrow("b", 2, 1)))
     bq = BoundQuiver(q, (Relation(ZERO, (("b", "a"),)), Relation(ZERO, (("a", "b"),))))
     assert bq.is_monomial()
+
+
+FIVE_ARROWS = (
+    "vertices: 1..3\n"
+    "arrow a0: 2 -> 1\narrow a1: 1 -> 3\narrow a2: 1 -> 3\n"
+    "arrow a3: 3 -> 2\narrow a4: 2 -> 1\n"
+)
+
+# Five arrows each way between two vertices, killed only by one zero-relation
+# of length 20: the walks avoiding it grow fivefold with each arrow.
+LONG_RELATION = (
+    "vertices: 1..2\n"
+    + "".join(f"arrow a{i}: 1 -> 2\narrow b{i}: 2 -> 1\n" for i in range(5))
+    + "zero: " + " * ".join(["b0", "a0"] * 10) + "\n"
+)
+
+CYCLE_70 = (
+    "vertices: 0..69\n"
+    + "".join(f"arrow x{i}: {i} -> {(i + 1) % 70}\n" for i in range(70))
+    + "zero: x2 * x1\n"
+)
+
+
+@pytest.mark.parametrize("text", [FIVE_ARROWS, LONG_RELATION])
+def test_cyclic_input_is_rejected_in_bounded_memory(text):
+    """Live walks of every length exist here, and their number grows
+    exponentially with their length; the check must say so without growing
+    the walks themselves."""
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from radindex.errors import NonAdmissible\n"
+        "from radindex.quiver import parse_bound_quiver\n"
+        "try:\n"
+        f"    parse_bound_quiver({text!r})\n"
+        "except NonAdmissible:\n"
+        "    print('rejected')\n"
+    )
+    src = str(Path(radindex.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected\n"
+
+
+def test_live_paths_longer_than_the_enumeration_cap_are_admissible(tmp_path):
+    """The longest live path on the 70-cycle with one zero-relation has 70
+    arrows: more than the enumeration cap, yet the ideal is admissible."""
+    from radindex.cli import main
+
+    bq = parse_bound_quiver(CYCLE_70)
+    assert len(bq.quiver.arrows) == 70
+    path = tmp_path / "cycle70.quiv"
+    path.write_text(CYCLE_70)
+    assert main(["validate", str(path)], out=io.StringIO()) == 0
+    out = io.StringIO()
+    assert main(["index", "--method", "all", str(path)], out=out) == 0
+    assert "knit: error (path enumeration exceeded the admissibility cap)" in out.getvalue()
+
+
+def test_a_live_cycle_beside_a_killed_one_is_not_admissible():
+    from radindex.errors import NonAdmissible
+
+    text = (
+        "vertices: 1..3\n"
+        "arrow a: 1 -> 2\narrow b: 2 -> 1\narrow c: 1 -> 3\narrow d: 3 -> 1\n"
+        "zero: b * a\nzero: a * b\n"
+    )
+    with pytest.raises(NonAdmissible):
+        parse_bound_quiver(text)
+
+
+def _live_walks_of_every_length(arrows, zero_walks):
+    """Independent oracle: with k one less than the longest zero walk, live
+    walks of every length exist iff the graph on the live walks of length k,
+    each joined to the live walks that shift it by one arrow, has a cycle."""
+    from graphlib import CycleError, TopologicalSorter
+    from itertools import product
+
+    k = max((len(zw) for zw in zero_walks), default=2) - 1
+    target = {name: t for name, _, t in arrows}
+    source = {name: s for name, s, _ in arrows}
+
+    def live(walk):
+        return all(target[x] == source[y] for x, y in zip(walk, walk[1:])) and not any(
+            walk[i:i + len(zw)] == zw for zw in zero_walks for i in range(len(walk))
+        )
+
+    windows = [w for w in product(target, repeat=k) if live(w)]
+    graph = {w: [w[1:] + (x,) for x in target if live(w + (x,))] for w in windows}
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError:
+        return True
+    return False
+
+
+def test_admissibility_matches_a_cycle_search_on_random_cyclic_quivers():
+    from radindex.errors import NonAdmissible
+
+    rng = random.Random(9)
+    checked = {True: 0, False: 0}
+    while sum(checked.values()) < 150:
+        n = rng.randint(2, 4)
+        arrows = []
+        for i in range(rng.randint(n, n + 3)):
+            s, t = rng.sample(range(1, n + 1), 2)
+            arrows.append((f"a{i}", s, t))
+        outgoing = {v: [a for a in arrows if a[1] == v] for v in range(1, n + 1)}
+        zero_walks = set()
+        for _ in range(rng.randint(0, 4)):
+            walk, length = [rng.choice(arrows)], rng.randint(2, 3)
+            while len(walk) < length and outgoing[walk[-1][2]]:
+                walk.append(rng.choice(outgoing[walk[-1][2]]))
+            if len(walk) >= 2:
+                zero_walks.add(tuple(a[0] for a in walk))
+        text = (f"vertices: 1..{n}\n"
+                + "".join(f"arrow {a}: {s} -> {t}\n" for a, s, t in arrows)
+                + "".join("zero: " + " * ".join(reversed(zw)) + "\n" for zw in zero_walks))
+        try:
+            parse_bound_quiver(text)
+            admissible = True
+        except NonAdmissible:
+            admissible = False
+        except InvalidQuiver:
+            continue  # disconnected
+        assert admissible != _live_walks_of_every_length(arrows, zero_walks), text
+        checked[admissible] += 1
+    assert min(checked.values()) >= 30
