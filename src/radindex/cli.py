@@ -13,17 +13,7 @@ import functools
 import json
 import sys
 
-from .errors import (
-    DuplicateName,
-    InvalidQuiver,
-    NonAdmissible,
-    NonComposablePath,
-    QuivSyntaxError,
-    RadindexError,
-    UnknownArrow,
-    UnknownVertex,
-    Unsupported,
-)
+from .errors import InputError, RadindexError, Unsupported
 from .formulas import POLICIES, route
 from .knitting import DEFAULT_CAP, knit, to_dot
 from .quiver import classify, parse_bound_quiver, serialize, toupie_shape
@@ -35,17 +25,6 @@ from .reductions import (
     zero_relation_vertices,
 )
 from .strings import enumerate_strings
-
-INPUT_ERRORS = (
-    QuivSyntaxError,
-    UnknownVertex,
-    UnknownArrow,
-    NonComposablePath,
-    DuplicateName,
-    InvalidQuiver,
-    NonAdmissible,
-    OSError,
-)
 
 
 @functools.cache
@@ -232,7 +211,7 @@ def main(argv=None, out=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
-    except INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Unsupported as exc:

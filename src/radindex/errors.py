@@ -7,7 +7,12 @@ class RadindexError(Exception):
 
 # --- input / parsing -------------------------------------------------------
 
-class QuivSyntaxError(RadindexError):
+class InputError(RadindexError):
+    """The input cannot be read as an admissible bound quiver; the CLI
+    exits with code 2."""
+
+
+class QuivSyntaxError(InputError):
     def __init__(self, message, line=None):
         self.line = line
         if line is not None:
@@ -15,28 +20,31 @@ class QuivSyntaxError(RadindexError):
         super().__init__(message)
 
 
-class UnknownVertex(RadindexError):
+class UnknownVertex(InputError):
     pass
 
 
-class UnknownArrow(RadindexError):
+class UnknownArrow(InputError):
     pass
 
 
-class DuplicateName(RadindexError):
+class DuplicateName(InputError):
     pass
 
 
-class NonComposablePath(RadindexError):
+class NonComposablePath(InputError):
     pass
 
 
-class InvalidQuiver(RadindexError):
+class InvalidQuiver(InputError):
     """Structural invariant of a quiver or bound quiver violated."""
 
 
-class NonAdmissible(RadindexError):
-    """Path enumeration did not stabilize below the admissibility cap."""
+class NonAdmissible(InputError):
+    """The ideal is not admissible: walks avoiding the zero-relations exist
+    in every length, which the parser decides exactly.  Path enumeration
+    also raises it when a live path outgrows its length cap, a size limit
+    rather than a proof."""
 
 
 # --- resource / scope guards -----------------------------------------------
@@ -105,14 +113,6 @@ class NotSingleRelationTree(RadindexError):
 
 class OverlappedRelations(RadindexError):
     pass
-
-
-class NoSharedVertex(RadindexError, ValueError):
-    """Two overlapped zero-relations share no involved vertex, so the
-    representative set has no vertex to choose for the pair.
-
-    Also a ValueError, the type this case raised before it had a name:
-    the benchmark's stage tracer (bench/spans.py) catches it as one."""
 
 
 class ShapeMismatch(RadindexError):

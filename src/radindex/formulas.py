@@ -37,7 +37,7 @@ from .quiver import (
     component_vertices,
     dynkin_type,
     full_subquiver,
-    path_walk,
+    relation_vertices,
     underlying_tree,
 )
 from .reductions import (
@@ -93,15 +93,12 @@ def _single_zero_relation(bq: BoundQuiver) -> Relation:
 def pullback_split(bq: BoundQuiver) -> PullbackSplit:
     rel = _single_zero_relation(bq)
     q = bq.quiver
-    walk = path_walk(rel.path)
-    first, last = walk[0], walk[-1]
-    a = q.arrow(first).source
-    b = q.arrow(last).target
-    interior_start = q.arrow(first).target
+    first, last = rel.path[-1], rel.path[0]  # composition order: first applied is rightmost
+    rv = relation_vertices(q, rel)
 
-    a1_verts = component_vertices(q, a, dropped_arrows=[last])
-    a2_verts = component_vertices(q, b, dropped_arrows=[first])
-    core_verts = component_vertices(q, interior_start, dropped_arrows=[first, last])
+    a1_verts = component_vertices(q, rv[0], dropped_arrows=[last])
+    a2_verts = component_vertices(q, rv[-1], dropped_arrows=[first])
+    core_verts = component_vertices(q, rv[1], dropped_arrows=[first, last])
 
     a1 = full_subquiver(bq, a1_verts, dropped_arrows=[last])
     a2 = full_subquiver(bq, a2_verts, dropped_arrows=[first])
@@ -139,10 +136,8 @@ def a_cap_c_empty(bq: BoundQuiver, split: PullbackSplit, ar: ARQuiver) -> bool:
 def sectional_criterion(bq: BoundQuiver, split: PullbackSplit, ar: ARQuiver) -> bool:
     """Sectional path from a summand of rad P_a to a summand of
     I_b / soc I_b, where a and b are the relation endpoints."""
-    q = bq.quiver
-    walk = path_walk(split.relation.path)
-    a = q.arrow(walk[0]).source
-    b = q.arrow(walk[-1]).target
+    rv = relation_vertices(bq.quiver, split.relation)
+    a, b = rv[0], rv[-1]
     sources = {ar.locate(dv).ident for dv in radical_summands(bq, a)}
     targets = {ar.locate(dv).ident for dv in top_of_injective_summands(bq, b)}
     return sectional_path_exists(ar, sources, targets)
@@ -180,13 +175,8 @@ def family_match(bq: BoundQuiver) -> Optional[str]:
     the relation, m >= 4), CoreE6 (core of type E6, m >= 3)."""
     rel = _single_zero_relation(bq)
     q = bq.quiver
-    walk = path_walk(rel.path)
-    m = len(walk)
-    rv = [q.arrow(walk[0]).source]
-    for name in walk:
-        rv.append(q.arrow(name).target)
-
-    on_path = set(rv)
+    rv = relation_vertices(q, rel)
+    m = len(rv) - 1
     interior_branches = {}
     for i in range(1, m):
         subs = _hanging_subtrees(bq, rv[i], exclude={rv[i - 1], rv[i + 1]})
@@ -207,7 +197,7 @@ def family_match(bq: BoundQuiver) -> Optional[str]:
         if list(interior_branches) != [i] or len(interior_branches[i]) != 1:
             return False
         subtree = interior_branches[i][0]
-        neigh = _branch_neighbor(bq, rv[i], subtree)
+        (neigh,) = q.neighbors(rv[i]) & subtree  # a tree meets each hanging subtree once
         return _is_end_attached_path(bq, subtree, neigh)
 
     ends_bare = not _hanging_subtrees(bq, rv[0], exclude={rv[1]}) and not _hanging_subtrees(
@@ -231,17 +221,6 @@ def family_match(bq: BoundQuiver) -> Optional[str]:
     if m >= 3 and dynkin_type(pullback_split(bq).core.quiver) == ("E", 6):
         return "CoreE6"
     return None
-
-
-def _branch_neighbor(bq: BoundQuiver, v: int, subtree: set[int]) -> int:
-    q = bq.quiver
-    for a in q.arrows_from(v):
-        if a.target in subtree:
-            return a.target
-    for a in q.arrows_into(v):
-        if a.source in subtree:
-            return a.source
-    raise ValueError("subtree does not touch v")
 
 
 # --------------------------------------------------------------------------
@@ -330,10 +309,6 @@ class GluedIndex:
     blocks: list[dict]
 
 
-def _relation_span_positions(positions: dict[int, int], rv: list[int]) -> tuple[int, int]:
-    return positions[rv[0]], positions[rv[-1]]
-
-
 def glued_index(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> GluedIndex:
     """Maximum of the per-block indices for trees glued from single-relation
     blocks along a spine of non-overlapped zero-relations."""
@@ -344,25 +319,16 @@ def glued_index(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> GluedIndex:
         raise OverlappedRelations("glued formula needs pairwise non-overlapped relations")
 
     q = bq.quiver
-    rel_vertices = []
-    for rel in zeros:
-        walk = path_walk(rel.path)
-        rv = [q.arrow(walk[0]).source] + [q.arrow(name).target for name in walk]
-        rel_vertices.append(rv)
-
+    rel_vertices = [relation_vertices(q, rel) for rel in zeros]
     spine = _spanning_path({v for rv in rel_vertices for v in rv}, q)
     if spine is None:
         raise ShapeMismatch("relation zones do not lie on a single spine path")
     positions = {v: i for i, v in enumerate(spine)}
 
-    spans = [_relation_span_positions(positions, rv) for rv in rel_vertices]
-    if all(s < e for s, e in spans):
-        pass
-    elif all(s > e for s, e in spans):
-        spine.reverse()
-        positions = {v: i for i, v in enumerate(spine)}
-        spans = [_relation_span_positions(positions, rv) for rv in rel_vertices]
-    else:
+    spans = [(positions[rv[0]], positions[rv[-1]]) for rv in rel_vertices]
+    if all(s > e for s, e in spans):
+        spans = [(-s, -e) for s, e in spans]  # mirrored: read the spine the other way
+    elif not all(s < e for s, e in spans):
         raise ShapeMismatch("relations are not consistently oriented along the spine")
 
     order = sorted(range(len(zeros)), key=lambda i: spans[i][0])
@@ -375,16 +341,14 @@ def glued_index(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> GluedIndex:
     for pos, i in enumerate(order):
         drops = []
         if pos > 0:
-            prev_walk = path_walk(zeros[order[pos - 1]].path)
-            drops.append(prev_walk[0])  # first arrow of the previous relation
+            drops.append(zeros[order[pos - 1]].path[-1])  # first arrow of the previous relation
         if pos < len(order) - 1:
-            next_walk = path_walk(zeros[order[pos + 1]].path)
-            drops.append(next_walk[-1])  # last arrow of the next relation
+            drops.append(zeros[order[pos + 1]].path[0])  # last arrow of the next relation
         verts = component_vertices(q, rel_vertices[i][0], dropped_arrows=drops)
         block = full_subquiver(bq, verts, dropped_arrows=drops)
         if block.zero_relations() != (zeros[i],):
             raise ShapeMismatch("block does not isolate exactly its own relation")
-        entry = {"vertices": block.quiver.vertices}
+        entry = {"vertices": list(block.quiver.vertices)}
         try:
             frag = pullback_index(block, cap)
             entry["value"] = frag.value
@@ -399,37 +363,24 @@ def glued_index(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> GluedIndex:
 
 
 def _spanning_path(targets: set[int], q) -> Optional[list[int]]:
-    """Vertices of the minimal subtree spanning `targets`, as a path, or
-    None when that subtree is not a path."""
-    keep = {v: q.neighbors(v) for v in q.vertices}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(keep):
-            if v not in targets and len(keep[v]) <= 1:
-                for w in keep[v]:
-                    keep[w].discard(v)
-                del keep[v]
-                changed = True
-    if not keep:
-        return None
-    degrees = {v: len(ws) for v, ws in keep.items()}
-    if any(d > 2 for d in degrees.values()):
-        return None
-    ends = sorted(v for v, d in degrees.items() if d <= 1)
-    if len(keep) == 1:
-        return list(keep)
-    start = ends[0]
-    path = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [w for w in keep[cur] if w != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        path.append(cur)
-    return path if len(path) == len(keep) else None
+    """The tree path between the two targets farthest apart, or None unless
+    it holds every target (it is then the least subtree spanning them)."""
+
+    def farthest(start: int) -> list[int]:
+        """The path from a target farthest from `start` back to `start`."""
+        parent = {start: None}
+        order = [start]
+        for v in order:  # breadth first, so by distance from start
+            for w in q.neighbors(v) - parent.keys():
+                parent[w] = v
+                order.append(w)
+        path = [next(v for v in reversed(order) if v in targets)]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
+    spine = farthest(farthest(min(targets))[0])
+    return spine if targets <= set(spine) else None
 
 
 # --------------------------------------------------------------------------
@@ -516,14 +467,11 @@ def _pullback(bq, cap, ar):
 
 def _glued(bq, cap, ar):
     frag = glued_index(bq, cap)
-    return frag.value, {"blocks": [
-        {k: (list(v) if isinstance(v, tuple) else v) for k, v in b.items()}
-        for b in frag.blocks
-    ]}
+    return frag.value, {"blocks": frag.blocks}
 
 
 def _string(bq, cap, ar):
-    frag = nilpotency_string(bq)
+    frag = nilpotency_string(bq, cap)
     return frag.value, {
         "per_vertex": {str(v): r for v, r in sorted(frag.per_vertex.items())},
         "vertices_used": list(frag.vertices_used),
@@ -569,16 +517,29 @@ def _applicable_methods(bq):
     return methods
 
 
-def route(bq: BoundQuiver, policy: str = "auto", cap: int = DEFAULT_CAP) -> IndexReport:
-    """Dispatch over the implemented methods.
+def _candidates(bq: BoundQuiver, policy: str) -> list[str]:
+    """The methods that `policy` tries, in order: auto and all try every
+    applicable method, formula the applicable closed forms, knit and string
+    their one method."""
+    applicable = _applicable_methods(bq)
+    return {
+        "auto": applicable,
+        "all": applicable,
+        "formula": [name for name in applicable if name not in ("string_fans", "knit")],
+        "knit": ["knit"],
+        "string": ["string_fans"],
+    }[policy]
 
-    auto stops at the first successful method (an inapplicable pullback is
-    recorded and falls through); all runs every applicable method and
-    records agreement."""
+
+def route(bq: BoundQuiver, policy: str = "auto", cap: int = DEFAULT_CAP) -> IndexReport:
+    """Run the candidate methods of `policy` until one gives a value (all of
+    them under policy all); an inapplicable pullback is recorded and falls
+    through.
+
+    r is knit's value when knit gave one, else the first value; agreement
+    is recorded once two methods gave values."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    applicable = _applicable_methods(bq)
-    results: list[MethodResult] = []
     knitted = None  # the AR quiver, or the RadindexError that knitting raised
 
     def ar() -> ARQuiver:
@@ -595,9 +556,9 @@ def route(bq: BoundQuiver, policy: str = "auto", cap: int = DEFAULT_CAP) -> Inde
     def run(name: str) -> MethodResult:
         try:
             value, detail = _METHODS[name](bq, cap, ar)
-            res = MethodResult(name, "ok", value, detail=detail)
+            return MethodResult(name, "ok", value, detail=detail)
         except FormulaInapplicable as exc:
-            res = MethodResult(
+            return MethodResult(
                 name, "inapplicable", error=str(exc),
                 detail={
                     "naive_value": exc.naive_value,
@@ -609,58 +570,27 @@ def route(bq: BoundQuiver, policy: str = "auto", cap: int = DEFAULT_CAP) -> Inde
                 },
             )
         except RadindexError as exc:
-            res = MethodResult(name, "error", error=str(exc))
-        results.append(res)
-        return res
+            return MethodResult(name, "error", error=str(exc))
 
-    if policy == "auto":
-        chosen = None
-        for name in applicable:
-            res = run(name)
-            if res.status == "ok":
-                chosen = res
-                break
-        value = chosen.value if chosen else None
-    elif policy == "all":
-        for name in applicable:
-            run(name)
-        value = None
-        knit_res = next((r for r in results if r.name == "knit" and r.status == "ok"), None)
-        ok = [r for r in results if r.status == "ok"]
-        if knit_res:
-            value = knit_res.value
-        elif ok:
-            value = ok[0].value
-    elif policy == "knit":
-        res = run("knit")
-        value = res.value
-    elif policy == "string":
-        res = run("string_fans")
-        value = res.value
-    else:  # formula
-        value = None
-        for name in applicable:
-            if name in ("string_fans", "knit"):
-                continue
-            res = run(name)
-            if res.status == "ok":
-                value = res.value
-                break
+    results: list[MethodResult] = []
+    for name in _candidates(bq, policy):
+        results.append(run(name))
+        if results[-1].status == "ok" and policy != "all":
+            break
 
     # A stored knit error's traceback holds ar()'s frame, which holds the
     # error: break that cycle so the partial AR quiver is freed right away.
     knitted = None
 
-    ok_values = {r.value for r in results if r.status == "ok"}
-    agreement = (len(ok_values) == 1) if len([r for r in results if r.status == "ok"]) >= 2 else None
-
-    per_vertex = {}
-    used: tuple[int, ...] = ()
-    for r in results:
-        if r.status == "ok" and "per_vertex" in r.detail:
-            per_vertex = {int(v): n for v, n in r.detail["per_vertex"].items()}
-            used = tuple(r.detail.get("vertices_used", ()))
-            break
+    ok = [r for r in results if r.status == "ok"]
+    value = ok[0].value if ok else None
+    for r in ok:
+        if r.name == "knit":
+            value = r.value
+    agreement = len({r.value for r in ok}) == 1 if len(ok) >= 2 else None
+    table = next((r.detail for r in ok if "per_vertex" in r.detail), {})
+    per_vertex = {int(v): n for v, n in table.get("per_vertex", {}).items()}
+    used = tuple(table.get("vertices_used", ()))
 
     report = IndexReport(policy, value, results, agreement, per_vertex, used)
     if value is None:

@@ -209,6 +209,12 @@ def path_walk(path: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
+def relation_vertices(quiver: Quiver, rel: Relation) -> tuple[int, ...]:
+    """The vertices that the path of ``rel`` passes, from source to target."""
+    walk = path_walk(rel.path)
+    return (quiver.arrow(walk[0]).source,) + tuple(quiver.arrow(name).target for name in walk)
+
+
 def path_source(quiver: Quiver, path: tuple[str, ...]) -> int:
     return quiver.arrow(path[-1]).source
 
@@ -451,7 +457,8 @@ def classify(bq: BoundQuiver) -> AlgebraClass:
 _ARROW_RE = re.compile(r"^arrow\s+(\w+)\s*:\s*(\d+)\s*->\s*(\d+)$")
 
 
-def _parse_vertices(body: str, line_no: int) -> list[int]:
+def _parse_vertices(body: str, line_no: int) -> list[tuple[int, int]]:
+    """The items of a vertices line as ranges (lo, hi); an id v is (v, v)."""
     out = []
     for item in body.split(","):
         item = item.strip()
@@ -465,12 +472,16 @@ def _parse_vertices(body: str, line_no: int) -> list[int]:
                 raise QuivSyntaxError(f"expected integer range, got {item!r}", line_no)
             if hi_i < lo_i:
                 raise QuivSyntaxError(f"empty range {item!r}", line_no)
-            out.extend(range(lo_i, hi_i + 1))
+            out.append((lo_i, hi_i))
         else:
             try:
-                out.append(int(item))
+                v = int(item)
             except ValueError:
                 raise QuivSyntaxError(f"expected vertex id, got {item!r}", line_no)
+            out.append((v, v))
+    ranges = sorted(out)
+    if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(ranges, ranges[1:])):
+        raise DuplicateName(f"line {line_no}: duplicate vertex id")
     return out
 
 
@@ -486,7 +497,7 @@ def parse_bound_quiver(text: str) -> BoundQuiver:
 
     Grammar: `vertices:`, `arrow <name>: <src> -> <tgt>`, `zero: <path>`,
     `comm: <path> = <path>`; `#` starts a comment."""
-    vertices: list[int] = []
+    ranges: list[tuple[int, int]] = []
     arrows: list[Arrow] = []
     relations: list[Relation] = []
     seen_vertices = False
@@ -502,9 +513,7 @@ def parse_bound_quiver(text: str) -> BoundQuiver:
         if key == "vertices":
             if seen_vertices:
                 raise QuivSyntaxError("duplicate vertices line", line_no)
-            vertices = _parse_vertices(body, line_no)
-            if len(set(vertices)) != len(vertices):
-                raise DuplicateName(f"line {line_no}: duplicate vertex id")
+            ranges = _parse_vertices(body, line_no)
             seen_vertices = True
         elif key == "arrow":
             m = _ARROW_RE.match(line)
@@ -527,7 +536,12 @@ def parse_bound_quiver(text: str) -> BoundQuiver:
             raise QuivSyntaxError(f"unknown directive {key!r}", line_no)
     if not seen_vertices:
         raise QuivSyntaxError("missing vertices line", None)
-    quiver = Quiver(tuple(vertices), tuple(arrows))
+    # A connected quiver on n vertices has at least n - 1 arrows: count the
+    # ranges before expanding them, so memory stays bounded by the text.
+    if sum(hi - lo + 1 for lo, hi in ranges) > len(arrows) + 1:
+        raise InvalidQuiver("underlying graph is not connected; split the input")
+    vertices = tuple(v for lo, hi in ranges for v in range(lo, hi + 1))
+    quiver = Quiver(vertices, tuple(arrows))
     return BoundQuiver(quiver, tuple(relations))
 
 

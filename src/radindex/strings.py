@@ -173,13 +173,13 @@ class StringFan:
     members: frozenset
 
 
-def string_fan(bq: BoundQuiver, u: int, side: str) -> StringFan:
+def string_fan(bq: BoundQuiver, u: int, side: str, cap: int = DEFAULT_STRING_CAP) -> StringFan:
     """Members of the start fan are the trivial walk and the strings leaving
     u through an arrow; end fan dually (strings entering u through an
     arrow)."""
     _require_string(bq)
     members = {}
-    for walk in oriented_strings(bq, DEFAULT_STRING_CAP):
+    for walk in oriented_strings(bq, cap):
         if walk.is_trivial:
             if walk.start == u:
                 members.setdefault(_string_key(walk), walk)
@@ -198,9 +198,10 @@ def _string_key(walk: StringWalk):
     return (canon.letters, canon.start)
 
 
-def r_u_string(bq: BoundQuiver, u: int) -> int:
+def r_u_string(bq: BoundQuiver, u: int, cap: int = DEFAULT_STRING_CAP) -> int:
     """|start fan| + |end fan| - 2."""
-    return len(string_fan(bq, u, START).members) + len(string_fan(bq, u, END).members) - 2
+    return (len(string_fan(bq, u, START, cap).members)
+            + len(string_fan(bq, u, END, cap).members) - 2)
 
 
 @dataclass(frozen=True)
@@ -236,12 +237,13 @@ class StringIndex:
     vertices_used: tuple[int, ...]
 
 
-def nilpotency_string(bq: BoundQuiver) -> StringIndex:
-    """Index as 1 + max r_u over the vertices involved in zero-relations."""
+def nilpotency_string(bq: BoundQuiver, cap: int = DEFAULT_STRING_CAP) -> StringIndex:
+    """Index as 1 + max r_u over the vertices involved in zero-relations,
+    with at most ``cap`` oriented strings enumerated."""
     _require_string(bq)
     selection = zero_relation_vertices(bq)
     if not selection.vertices:
         raise NoRelations("no zero-relations; use the hereditary table instead")
-    per_vertex = {u: r_u_string(bq, u) for u in selection.vertices}
+    per_vertex = {u: r_u_string(bq, u, cap) for u in selection.vertices}
     value = 1 + max(per_vertex.values())
     return StringIndex(value, per_vertex, selection.vertices)

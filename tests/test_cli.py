@@ -78,6 +78,15 @@ def test_index_all_machine_matches_golden(name):
     assert text == (FIXTURES / f"{name}.index-all.json").read_text()
 
 
+@pytest.mark.parametrize("policy", ["auto", "knit", "string", "formula"])
+@pytest.mark.parametrize("name", ["e1", "e2", "e3", "e4"])
+def test_index_policy_machine_matches_golden(name, policy):
+    """`<name>.index-<policy>.out` holds `exit <code>` and then the machine
+    report of an earlier release; refactors must leave both unchanged."""
+    code, text = run("--format", "machine", "index", "--method", policy, fixture(name))
+    assert f"exit {code}\n{text}" == (FIXTURES / f"{name}.index-{policy}.out").read_text()
+
+
 def test_index_string_policy_rejected_for_non_string():
     code, _ = run("index", "--method", "string", fixture("e1"))
     assert code == 1
@@ -99,19 +108,18 @@ def test_explain_machine(e4):
     assert payload["overlaps"][0]["intersection"] == [3, 4]
 
 
-def test_explain_overlap_without_shared_vertex_exits_1(tmp_path, capsys):
+def test_explain_overlap_without_shared_vertex_takes_both_relations(tmp_path):
     """A_4 with zero b*a and c*b: the two relations overlap on b but share
-    no involved vertex, so no representative can be chosen for the pair."""
+    no involved vertex, so both relations' involved vertices represent the
+    pair."""
     path = tmp_path / "a4.quiv"
     path.write_text(
         "vertices: 1..4\narrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n"
         "zero: b * a\nzero: c * b\n"
     )
-    code, _ = run("explain", str(path))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "b * a" in err and "c * b" in err
+    code, text = run("explain", str(path))
+    assert code == 0
+    assert "S = {2, 3}" in text
 
 
 def test_crosscheck_agreement_exit_zero():
@@ -148,6 +156,15 @@ def test_dump_strings_non_string_exits_1():
 def test_cap_flag_respected():
     code, _ = run("--cap", "5", "index", "--method", "knit", fixture("e1"))
     assert code == 1  # cap too low reads as likely representation-infinite
+
+
+def test_cap_reaches_the_string_fans():
+    """e4 has more than 5 oriented strings, so the string method stops at
+    the cap, as dump-strings does."""
+    code, text = run("--cap", "5", "index", "--method", "string", fixture("e4"))
+    assert code == 1 and text == ""
+    code, text = run("index", "--method", "string", fixture("e4"))
+    assert code == 0 and text.startswith("r_A = 8\n")
 
 
 def test_each_call_reads_its_own_options():

@@ -66,6 +66,9 @@ def test_parse_noncomposable_relation():
         ("vertices: 1..3\narrow a: 1 -> 2\n", InvalidQuiver),  # disconnected
         ("vertices: 1\narrow a: 1 -> 1\n", InvalidQuiver),  # loop
         ("vertices: 1..2\narrow a: 1 -> 2\nzero: a\n", InvalidQuiver),  # length 1
+        ("vertices: 1..3, 2\narrow a: 1 -> 2\n", DuplicateName),
+        ("vertices: 1..5, 4..6\narrow a: 1 -> 2\n", DuplicateName),
+        ("vertices: 1..9, 2..3, 5\narrow a: 1 -> 2\n", DuplicateName),
     ],
 )
 def test_parse_errors(text, exc):
@@ -260,6 +263,29 @@ def test_cyclic_input_is_rejected_in_bounded_memory(text):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "rejected\n"
+
+
+@pytest.mark.parametrize("n", [10**8, 10**18])
+def test_a_vertex_range_beyond_the_arrows_is_rejected_in_bounded_memory(n):
+    """A connected quiver on n vertices needs n - 1 arrows, so a range that
+    the arrow lines cannot connect is rejected before it is expanded."""
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from radindex.errors import InvalidQuiver\n"
+        "from radindex.quiver import parse_bound_quiver\n"
+        "try:\n"
+        f"    parse_bound_quiver('vertices: 1..{n}\\narrow a: 1 -> 2\\n')\n"
+        "except InvalidQuiver as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(radindex.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "underlying graph is not connected; split the input\n"
 
 
 def test_live_paths_longer_than_the_enumeration_cap_are_admissible(tmp_path):

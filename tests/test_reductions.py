@@ -1,7 +1,7 @@
 import pytest
 
-from radindex.errors import NotToupie
-from radindex.knitting import has_length, knit, r_a_knit
+from radindex.errors import NotToupie, RadindexError
+from radindex.knitting import has_length, knit, nilpotency_knit, r_a_knit
 from radindex.reductions import (
     involved_vertices,
     overlap_report,
@@ -10,7 +10,15 @@ from radindex.reductions import (
     zero_relation_vertices,
 )
 
-from conftest import commutative_toupie, linear_quiver, random_monomial_trees
+from radindex.strings import r_u_string
+
+from conftest import (
+    caterpillar_string_algebras,
+    commutative_toupie,
+    linear_quiver,
+    random_monomial_trees,
+    random_tree_string_algebras,
+)
 
 
 def test_involved_e1(e1):
@@ -71,6 +79,34 @@ def test_representative_provenance_mentions_relations(e4):
     notes = dict(sel.provenance)
     assert "overlap" in notes[3]
     assert "zero-relation" in notes[7]
+
+
+def test_representative_set_attains_the_involved_maximum_on_overlaps():
+    """On string algebras with overlapped relations, S attains the largest
+    string-fan r_u over (R_A)_0, and the largest knitted r_a where knit
+    gives a value, also where an overlapped pair shares no involved vertex
+    and S takes both relations' involved vertices."""
+    checked = disjoint = knitted = 0
+    for seed in (3, 4, 5):
+        for bq in [*caterpillar_string_algebras(seed, 60),
+                   *random_tree_string_algebras(seed, 60)]:
+            pairs = overlap_report(bq).pairs
+            if not pairs:
+                continue
+            disjoint += any(not inter for *_, inter in pairs)
+            reps = representative_set(bq).vertices
+            involved = zero_relation_vertices(bq).vertices
+            assert set(reps) <= set(involved), bq
+            assert (max(r_u_string(bq, u) for u in reps)
+                    == max(r_u_string(bq, u) for u in involved)), bq
+            checked += 1
+            try:
+                r_a = nilpotency_knit(bq).per_vertex
+            except RadindexError:
+                continue
+            assert max(r_a[u] for u in reps) == max(r_a[u] for u in involved), bq
+            knitted += 1
+    assert checked >= 100 and disjoint >= 100 and knitted >= 100
 
 
 def test_toupie_branch_vertex():
