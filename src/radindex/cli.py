@@ -82,8 +82,11 @@ def _print_report(report, fmt, out):
             print(f"  {m.name}: {m.value}", file=out)
         else:
             print(f"  {m.name}: {m.status} ({m.error})", file=out)
-    if report.agreement is not None:
-        print(f"  agreement: {'yes' if report.agreement else 'NO'}", file=out)
+    if report.agreement:
+        print("  agreement: yes", file=out)
+    elif report.agreement is not None:
+        values = ", ".join(f"{m.name} {m.value}" for m in report.methods if m.status == "ok")
+        print(f"  agreement: NO ({values})", file=out)
     if report.per_vertex:
         table = "  ".join(f"{v}:{r}" for v, r in sorted(report.per_vertex.items()))
         print(f"  per-vertex r_a: {table}", file=out)

@@ -11,12 +11,23 @@ already knitted; a ray stops when its dimension vector matches an
 injective.  Arrows always point from older to newer nodes, so node ids
 form a topological order of the resulting translation quiver.
 
+The loop is a worklist over plain count tuples.  Each projective counts
+its radical summands not yet knitted.  Each node counts its blockers: the
+open meshes at its non-injective predecessors and the projectives not yet
+inserted that have it as a radical summand; at zero its mesh goes on a
+heap of node ids.  A pass inserts the projectives with no summand missing,
+in vertex order, then closes the heap's meshes at nodes that existed when
+that phase began, in id order.  Node ids and errors therefore come out
+in the order of a pass that rescans every node, but no pass rescans the
+knitted nodes.
+
 r_a is read off a grading l of the knitted quiver as l(I_a) - l(P_a) when
 one exists, and by shortest paths otherwise.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -70,7 +81,7 @@ class ARQuiver:
     inn: dict[int, dict[int, int]] = field(default_factory=dict)
     tau: dict[int, int] = field(default_factory=dict)      # z -> x with z = tau^{-1} x
     tau_inv: dict[int, int] = field(default_factory=dict)  # x -> z
-    by_dim: dict[DimensionVector, int] = field(default_factory=dict)
+    by_dim: dict[tuple[int, ...], int] = field(default_factory=dict)  # keyed by counts
     # Results of the ``per_algebra`` functions below (grading, has_length,
     # reach); the quiver must not change once one of them has run.
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
@@ -79,7 +90,7 @@ class ARQuiver:
         return len(self.nodes)
 
     def locate(self, dv: DimensionVector) -> ARNode:
-        ident = self.by_dim.get(dv)
+        ident = self.by_dim.get(dv.counts)
         if ident is None:
             raise NotFound(f"no indecomposable with dimension vector {dv.counts}")
         return self.nodes[ident]
@@ -100,23 +111,38 @@ class ARQuiver:
 
 def knit(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> ARQuiver:
     q = bq.quiver
-    proj = {a: dim_projective(bq, a) for a in q.vertices}
-    inj = {a: dim_injective(bq, a) for a in q.vertices}
-    if len(set(inj.values())) != len(q.vertices):
+    proj = {a: dim_projective(bq, a).counts for a in q.vertices}
+    inj = {dim_injective(bq, a).counts: a for a in q.vertices}
+    if len(inj) != len(q.vertices):
         raise AmbiguousInjective("two injectives share a dimension vector")
     if len(set(proj.values())) != len(q.vertices):
         raise AmbiguousInjective("two projectives share a dimension vector")
-    inj_by_dim = {dv: a for a, dv in inj.items()}
-    rad_req = {a: Counter(radical_summands(bq, a)) for a in q.vertices}
+    rad = {a: Counter(dv.counts for dv in radical_summands(bq, a)) for a in q.vertices}
+    missing = {a: len(rad[a]) for a in q.vertices}
+    needed_by: dict[tuple[int, ...], list[int]] = {}
+    for a in q.vertices:
+        for dim in rad[a]:
+            needed_by.setdefault(dim, []).append(a)
 
     ar = ARQuiver(bq)
+    dims: list[tuple[int, ...]] = []  # by node id
+    blockers: list[int] = []          # by node id: open predecessor meshes + projectives above
+    ready: list[int] = []             # heap of node ids whose mesh can close
+    pending = dict.fromkeys(q.vertices)  # vertices whose projective is not knitted, in order
+    open_meshes = 0
 
-    def insert(dim: DimensionVector) -> int:
-        if dim.is_zero():
+    def unblock(x: int):
+        blockers[x] -= 1
+        if not blockers[x] and ar.nodes[x].injective_of is None:
+            heapq.heappush(ready, x)
+
+    def insert(dim: tuple[int, ...], preds: list[tuple[int, int]]) -> int:
+        nonlocal open_meshes
+        if not any(dim):
             raise NegativeMesh("mesh produced the zero dimension vector")
         if dim in ar.by_dim:
             raise AmbiguousInjective(
-                f"dimension vector {dim.counts} produced twice; "
+                f"dimension vector {dim} produced twice; "
                 "input is outside the representation-directed scope"
             )
         if len(ar.nodes) >= cap:
@@ -124,96 +150,77 @@ def knit(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> ARQuiver:
                 f"more than {cap} nodes; the algebra is likely representation-infinite"
             )
         ident = len(ar.nodes)
-        node = ARNode(ident, dim)
-        b = inj_by_dim.get(dim)
-        if b is not None:
-            node.injective_of = b
-        if dim.total() == 1:
-            node.simple_of = dim.support()[0]
+        node = ARNode(ident, DimensionVector(q.vertices, dim), injective_of=inj.get(dim))
+        if sum(dim) == 1:
+            node.simple_of = q.vertices[dim.index(1)]
         ar.nodes.append(node)
         ar.by_dim[dim] = ident
+        dims.append(dim)
         ar.out[ident] = {}
-        ar.inn[ident] = {}
+        ar.inn[ident] = dict(preds)
+        for p, mult in preds:
+            ar.out[p][ident] = mult
+        # no predecessor of a new node has closed its mesh yet
+        blockers.append(len(needed_by.get(dim, ())) + sum(
+            1 for p, _ in preds if ar.nodes[p].injective_of is None
+        ))
+        if node.injective_of is None:
+            open_meshes += 1
+            if not blockers[ident]:
+                heapq.heappush(ready, ident)
+        for a in needed_by.get(dim, ()):
+            missing[a] -= 1
         return ident
 
-    def add_arrow(src: int, tgt: int, mult: int = 1):
-        ar.out[src][tgt] = ar.out[src].get(tgt, 0) + mult
-        ar.inn[tgt][src] = ar.inn[tgt].get(src, 0) + mult
-
-    pending = set(q.vertices)
-    mesh_closed: set[int] = set()
-
     while True:
-        progress = False
-
-        # insert projectives whose radical summands all exist
-        for a in sorted(pending):
-            need = rad_req[a]
-            if all(dv in ar.by_dim for dv in need):
-                ident = insert(proj[a])
-                ar.nodes[ident].projective_of = a
-                for dv, mult in sorted(need.items(), key=lambda kv: ar.by_dim[kv[0]]):
-                    add_arrow(ar.by_dim[dv], ident, mult)
-                pending.discard(a)
-                progress = True
-
-        pending_dims = {dv for a in pending for dv in rad_req[a]}
-
-        # close meshes whose middle terms are complete
-        for node in list(ar.nodes):
-            x = node.ident
-            if node.injective_of is not None or x in mesh_closed:
+        size = len(ar.nodes)
+        # the projectives whose radical summands are all knitted, by vertex
+        for a in list(pending):
+            if missing[a]:
                 continue
-            if node.dim in pending_dims:
-                continue  # a projective above this node is still missing
-            if any(
-                ar.nodes[v].injective_of is None and v not in mesh_closed
-                for v in ar.inn[x]
-            ):
-                continue
-            total = DimensionVector.zero(q)
-            for mid, mult in ar.out[x].items():
-                total = total + ar.nodes[mid].dim.scaled(mult)
-            try:
-                new_dim = total - node.dim
-            except ValueError:
+            preds = sorted((ar.by_dim[dim], mult) for dim, mult in rad[a].items())
+            ar.nodes[insert(proj[a], preds)].projective_of = a
+            del pending[a]
+            for p, _ in preds:
+                unblock(p)
+        # the ready meshes at nodes older than this phase, by node id
+        boundary = len(ar.nodes)
+        while ready and ready[0] < boundary:
+            x = heapq.heappop(ready)
+            mids = list(ar.out[x].items())
+            new = [-c for c in dims[x]]
+            for mid, mult in mids:
+                new = [s + mult * c for s, c in zip(new, dims[mid])]
+            if min(new) < 0:
                 raise NegativeMesh(
-                    f"mesh at {node.dim.counts} went negative; "
+                    f"mesh at {dims[x]} went negative; "
                     "input is outside the representation-directed scope"
                 )
-            z = insert(new_dim)
-            for mid, mult in sorted(ar.out[x].items()):
-                add_arrow(mid, z, mult)
+            z = insert(tuple(new), mids)
             ar.tau[z] = x
             ar.tau_inv[x] = z
-            mesh_closed.add(x)
-            progress = True
+            open_meshes -= 1
+            for mid, _ in mids:
+                unblock(mid)
 
-        open_meshes = [
-            n for n in ar.nodes
-            if n.injective_of is None and n.ident not in mesh_closed
-        ]
         if not pending and not open_meshes:
             return ar
-        if not progress:
+        if len(ar.nodes) == size:
             raise KnittingStuck(
                 f"no progress with {len(pending)} projectives pending and "
-                f"{len(open_meshes)} meshes open"
+                f"{open_meshes} meshes open"
             )
 
 
 def check_mesh_identities(ar: ARQuiver) -> list[int]:
     """Node ids of non-projective nodes violating the mesh identity."""
     bad = []
-    for node in ar.nodes:
-        x = ar.tau.get(node.ident)
-        if x is None:
-            continue
-        total = DimensionVector.zero(ar.bq.quiver)
+    for z, x in sorted(ar.tau.items()):
+        rest = [a + b for a, b in zip(ar.nodes[z].dim.counts, ar.nodes[x].dim.counts)]
         for mid, mult in ar.out[x].items():
-            total = total + ar.nodes[mid].dim.scaled(mult)
-        if node.dim + ar.nodes[x].dim != total:
-            bad.append(node.ident)
+            rest = [r - mult * c for r, c in zip(rest, ar.nodes[mid].dim.counts)]
+        if any(rest):
+            bad.append(z)
     return bad
 
 

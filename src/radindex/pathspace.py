@@ -56,25 +56,12 @@ class DimensionVector:
             raise ValueError("dimension vector subtraction went negative")
         return DimensionVector(self.vertices, diff)
 
-    def scaled(self, k: int) -> "DimensionVector":
-        return DimensionVector(self.vertices, tuple(k * c for c in self.counts))
-
     def _check_aligned(self, other):
         if self.vertices != other.vertices:
             raise ValueError("dimension vectors over different vertex sets")
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.counts)
-
     def total(self) -> int:
         return sum(self.counts)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, c in zip(self.vertices, self.counts) if c)
-
-    @classmethod
-    def zero(cls, quiver: Quiver) -> "DimensionVector":
-        return cls(quiver.vertices, (0,) * len(quiver.vertices))
 
     @classmethod
     def unit(cls, quiver: Quiver, a: int) -> "DimensionVector":

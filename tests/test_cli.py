@@ -176,3 +176,41 @@ def test_each_call_reads_its_own_options():
     code, text = run("index", fixture("e1"))
     assert code == 0
     assert text.startswith("r_A = 13\n")
+
+
+@pytest.mark.parametrize("name", ["e1", "e2", "e3", "e4"])
+def test_dump_ar_matches_golden(name):
+    """`<name>.dump-ar.dot` pins node ids, arrow order and tau pairs of the
+    knitted AR quiver as an earlier release printed them."""
+    code, text = run("dump-ar", fixture(name))
+    assert code == 0
+    assert text == (FIXTURES / f"{name}.dump-ar.dot").read_text()
+
+
+def _disagreeing_report():
+    from radindex.formulas import IndexReport, MethodResult
+
+    methods = [
+        MethodResult("glued_formula", "ok", value=9),
+        MethodResult("string_fans", "error", error="not a string algebra"),
+        MethodResult("knit", "ok", value=10),
+    ]
+    return IndexReport("all", 10, methods, agreement=False)
+
+
+def test_human_report_names_the_disagreeing_values():
+    from radindex.cli import _print_report
+
+    out = io.StringIO()
+    _print_report(_disagreeing_report(), "human", out)
+    assert "  agreement: NO (glued_formula 9, knit 10)\n" in out.getvalue()
+
+
+def test_machine_report_of_a_disagreement_is_unchanged():
+    from radindex.cli import _print_report
+
+    report = _disagreeing_report()
+    out = io.StringIO()
+    _print_report(report, "machine", out)
+    assert out.getvalue() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert json.loads(out.getvalue())["agreement"] is False

@@ -302,3 +302,47 @@ def test_no_sectional_bypass():
 def test_dot_dump_mentions_roles(e1):
     text = to_dot(knit(e1))
     assert "digraph" in text and "P1" in text and "I7" in text
+
+
+def _quiv(arrows, zeros=()):
+    """`.quiv` text on the vertices 1..n that the arrows name."""
+    ends = [arrow.split(":")[1].split("->") for arrow in arrows]
+    n = max(int(v) for pair in ends for v in pair)
+    return "".join([f"vertices: 1..{n}\n"]
+                   + [f"arrow {arrow}\n" for arrow in arrows]
+                   + [f"zero: {z}\n" for z in zeros])
+
+
+@pytest.mark.parametrize("arrows, zeros, cap, error, text", [
+    (["a1: 1 -> 2", "a2: 2 -> 3", "a3: 1 -> 3"], ["a2 * a1"], 300, "KnittingStuck",
+     "no progress with 1 projectives pending and 2 meshes open"),
+    (["a1: 2 -> 1", "a2: 1 -> 2"], ["a1 * a2"], 300, "KnittingStuck",
+     "no progress with 2 projectives pending and 0 meshes open"),
+    (["a1: 1 -> 2", "a2: 2 -> 3", "a3: 2 -> 4", "a4: 4 -> 1"], ["a1 * a4"], 300,
+     "KnittingStuck", "no progress with 3 projectives pending and 1 meshes open"),
+    (["a1: 1 -> 2", "a2: 2 -> 1"], ["a1 * a2", "a2 * a1"], 300, "AmbiguousInjective",
+     "two injectives share a dimension vector"),
+    (["a1: 2 -> 1", "a2: 1 -> 2", "a3: 2 -> 1"], ["a1 * a2", "a2 * a1", "a2 * a3"], 300,
+     "AmbiguousInjective", "two projectives share a dimension vector"),
+    (["a: 1 -> 2", "b: 1 -> 2"], [], 5, "CapExceeded",
+     "more than 5 nodes; the algebra is likely representation-infinite"),
+    (["a: 1 -> 2", "b: 2 -> 3"], [], 5, "CapExceeded",
+     "more than 5 nodes; the algebra is likely representation-infinite"),
+])
+def test_knit_out_of_scope_exits(arrows, zeros, cap, error, text):
+    """Each exit of the knit outside the representation-directed scope, with
+    the class and text it had before the worklist: the stuck counts, both
+    setup refusals, and the cap, which A_3 (six nodes) hits at cap 5."""
+    from radindex import errors
+    from radindex.quiver import parse_bound_quiver
+
+    bq = parse_bound_quiver(_quiv(arrows, zeros))
+    with pytest.raises(getattr(errors, error)) as info:
+        knit(bq, cap)
+    assert type(info.value).__name__ == error
+    assert str(info.value) == text
+
+
+def test_cap_fires_past_the_last_node():
+    """A_3 has six nodes: cap 6 knits it all, cap 5 stops (above)."""
+    assert knit(linear_quiver(3), cap=6).node_count() == 6

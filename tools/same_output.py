@@ -1,14 +1,18 @@
-"""Check that two source trees of radindex print the same index reports.
+"""Check that two source trees of radindex print the same reports and AR
+quivers.
 
     python3 tools/same_output.py OLD_SRC NEW_SRC [--seeds 801 811] [--rounds 1]
 
 OLD_SRC and NEW_SRC are `src` directories, e.g. of a `git archive` of the
 parent commit and of the working tree.  Both run `radindex --format machine
-index --method POLICY` under every policy on the fixtures e1-e4 (default
-cap) and on the first ROUNDS rounds of each seed of the three benchmark
-workloads (bench/corpora.py, at the benchmark's caps).  Each tree runs in
-one fresh process.  The tool prints the first run whose exit code, report
-or error text differs, or "same".  Standard library only.
+index --method POLICY` under every policy, and `radindex dump-ar`, on the
+fixtures e1-e4 (default cap), on the first ROUNDS rounds of each seed of the
+three benchmark workloads (bench/corpora.py, at the benchmark's caps) and
+on RANDOM_PER_ROUND small random quivers per seed and round (cap 300).  The
+random quivers may have oriented cycles and carry zero-relations, so they
+reach the knit's out-of-scope exits, which the corpora never do.  Each tree
+runs in one fresh process.  The tool prints the first run whose exit code,
+output or error text differs, or "same".  Standard library only.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -25,6 +30,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
 POLICIES = ("auto", "string", "knit", "formula", "all")
+RANDOM_PER_ROUND = 400
+RANDOM_CAP = 300
+
+
+def random_quiver(rng: random.Random):
+    """A connected quiver on 2-5 vertices, oriented cycles allowed, with up
+    to four zero-relations of length 2 or 3 along it, as the arguments of
+    `corpora.quiv_text` after its rng."""
+    n = rng.randint(2, 5)
+    ends = []
+    for v in range(2, n + 1):
+        u = rng.randint(1, v - 1)
+        ends.append((u, v) if rng.random() < 0.5 else (v, u))
+    ends += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 2))]
+    arrows = [(f"a{i}", s, t) for i, (s, t) in enumerate(ends, start=1)]
+    zeros = set()
+    for _ in range(rng.randint(0, 4)):
+        name, _, t = rng.choice(arrows)
+        walk = [name]
+        for _ in range(rng.randint(1, 2)):
+            out = [(m, b) for m, s, b in arrows if s == t]
+            if not out:
+                break
+            name, t = rng.choice(out)
+            walk.append(name)
+        if len(walk) >= 2:
+            zeros.add(tuple(walk))
+    return n, arrows, sorted(zeros)
 
 
 def inputs(seeds, n_rounds):
@@ -39,10 +72,16 @@ def inputs(seeds, n_rounds):
         for seed in seeds:
             for inst in corpora.corpus(workload, seed, n_rounds):
                 yield f"{workload}/{seed}/{inst.name}", CAPS[workload], inst.text
+    for seed in seeds:
+        rng = random.Random(seed)
+        for r in range(n_rounds):
+            for i in range(RANDOM_PER_ROUND):
+                yield (f"random/{seed}/{r}/{i}", RANDOM_CAP,
+                       corpora.quiv_text(None, *random_quiver(rng)))
 
 
 def side(src: str, seeds, n_rounds) -> None:
-    """Print one JSON line [label, policy, exit code, stdout, stderr] per
+    """Print one JSON line [label, command, exit code, stdout, stderr] per
     run of radindex from `src`."""
     sys.path.insert(0, str(Path(src).resolve()))
     from radindex import cli
@@ -54,12 +93,14 @@ def side(src: str, seeds, n_rounds) -> None:
             path = Path(tmp) / f"{i}.quiv"
             path.write_text(text)
             options = [] if cap is None else ["--cap", str(cap)]
-            for policy in POLICIES:
+            commands = [["--format", "machine", *options, "index", "--method", policy]
+                        for policy in POLICIES]
+            for command in commands + [[*options, "dump-ar"]]:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stderr(err):
-                    code = cli.main(["--format", "machine", *options, "index",
-                                     "--method", policy, str(path)], out=out)
-                print(json.dumps([label, policy, code, out.getvalue(), err.getvalue()]))
+                    code = cli.main([*command, str(path)], out=out)
+                print(json.dumps([label, " ".join(command), code, out.getvalue(),
+                                  err.getvalue()]))
 
 
 def main(argv=None) -> int:
@@ -84,8 +125,8 @@ def main(argv=None) -> int:
         return 2
     for a, b in zip(old, new):
         if a != b:
-            label, policy, *old_run = json.loads(a)
-            print(f"differs: {label} --method {policy}")
+            label, command, *old_run = json.loads(a)
+            print(f"differs: {label}: radindex {command}")
             print("old:", json.dumps(old_run, indent=1))
             print("new:", json.dumps(json.loads(b)[2:], indent=1))
             return 1
