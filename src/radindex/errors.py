@@ -50,8 +50,16 @@ class NonAdmissible(InputError):
 # --- resource / scope guards -----------------------------------------------
 
 class CapExceeded(RadindexError):
-    """A bounded enumeration outgrew its cap; the input is likely
-    representation-infinite."""
+    """A bounded enumeration outgrew its cap, so the input is likely
+    representation-infinite; the subclasses state a proof instead."""
+
+
+class NotDirected(CapExceeded):
+    """Knitting produced a dimension vector with a coordinate above 6.
+    Every indecomposable over a representation-directed algebra has a
+    positive root of its weakly positive Tits form as dimension vector
+    (Ringel, LNM 1099, 2.4), and no such root has a coordinate above 6
+    (Ovsienko 1978), so the algebra is not representation-directed."""
 
 
 class RepresentationInfinite(CapExceeded):
@@ -117,6 +125,11 @@ class OverlappedRelations(RadindexError):
 
 class ShapeMismatch(RadindexError):
     """The relation layout does not match the glued-blocks shape."""
+
+
+class BlocksInteract(ShapeMismatch):
+    """The AR quiver glued from the blocks does not confirm the block
+    maximum, so indecomposables or maps across blocks may decide it."""
 
 
 class FormulaInapplicable(RadindexError):

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
+    BlocksInteract,
     FormulaInapplicable,
+    NotFound,
     NotSingleRelationTree,
     OverlappedRelations,
     RadindexError,
@@ -23,9 +25,12 @@ from .errors import (
 from .knitting import (
     DEFAULT_CAP,
     ARQuiver,
+    glue,
+    grading,
     knit,
     nilpotency_knit,
     reach,
+    readout_vertices,
     sectional_path_exists,
 )
 from .pathspace import radical_summands, top_of_injective_summands
@@ -311,7 +316,20 @@ class GluedIndex:
 
 def glued_index(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> GluedIndex:
     """Maximum of the per-block indices for trees glued from single-relation
-    blocks along a spine of non-overlapped zero-relations."""
+    blocks along a spine of non-overlapped zero-relations.
+
+    The maximum stands only where the AR quiver glued from the blocks' AR
+    quivers (knitting.glue) confirms it: graded, holding P_a and I_a of
+    every vertex a, and reading 1 + max(l(I_a) - l(P_a)) over the readout
+    vertices equal to it; otherwise BlocksInteract.  The rule is measured,
+    not proved.  It rests on every indecomposable lying in some block,
+    which held on all 4,424 inputs tried that reach the gluing (2,424 from
+    monotree-wild seeds 801-804, streams 0-299; 2,000 from the test
+    generator glued_tree_algebras): each glued quiver had the nodes and
+    arrows of the knitted one, e3 (blocks 19, 15, 6) and the 30 inputs
+    whose block maximum falls 1 to 3 short included.  Those 30 have zones
+    that touch and zones apart, so no rule by the gap between zones
+    separates them."""
     zeros = bq.zero_relations()
     if len(zeros) < 2 or not bq.is_monomial() or not underlying_tree(bq.quiver):
         raise ShapeMismatch("glued formula needs a monomial tree with >= 2 zero-relations")
@@ -336,7 +354,7 @@ def glued_index(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> GluedIndex:
         if spans[i][1] > spans[j][0]:
             raise ShapeMismatch("relation zones interleave along the spine")
 
-    blocks = []
+    blocks, ars = [], []
     value = None
     for pos, i in enumerate(order):
         drops = []
@@ -349,8 +367,9 @@ def glued_index(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> GluedIndex:
         if block.zero_relations() != (zeros[i],):
             raise ShapeMismatch("block does not isolate exactly its own relation")
         entry = {"vertices": list(block.quiver.vertices)}
+        ars.append(knit(block, cap))
         try:
-            frag = pullback_index(block, cap)
+            frag = pullback_index(block, cap, ar=ars[-1])
             entry["value"] = frag.value
             entry["method"] = "pullback"
         except FormulaInapplicable as exc:
@@ -359,6 +378,26 @@ def glued_index(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> GluedIndex:
             entry["naive_value"] = exc.naive_value
         blocks.append(entry)
         value = entry["value"] if value is None else max(value, entry["value"])
+
+    glued = glue(bq, ars)
+    level = grading(glued)
+    if level is None:
+        raise BlocksInteract(
+            f"the AR quiver glued from the blocks has no grading; block maximum {value}"
+        )
+    try:
+        depth = {a: level[glued.injective(a).ident] - level[glued.projective(a).ident]
+                 for a in q.vertices}
+    except NotFound as exc:
+        raise BlocksInteract(
+            f"the AR quiver glued from the blocks lacks a projective or injective "
+            f"({exc}); block maximum {value}"
+        )
+    readout = 1 + max(depth[a] for a in readout_vertices(q))
+    if readout != value:
+        raise BlocksInteract(
+            f"the AR quiver glued from the blocks reads {readout}, the block maximum is {value}"
+        )
     return GluedIndex(value, blocks)
 
 

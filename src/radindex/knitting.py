@@ -21,6 +21,13 @@ that phase began, in id order.  Node ids and errors therefore come out
 in the order of a pass that rescans every node, but no pass rescans the
 knitted nodes.
 
+Over a representation-directed algebra the dimension vector of every
+indecomposable is a positive root of the weakly positive Tits form
+(Ringel, Tame Algebras and Integral Quadratic Forms, LNM 1099, 2.4), and
+no such root has a coordinate above 6 (Ovsienko 1978; the maximal root of
+E8 reaches 6).  So knitting stops with NotDirected at the first projective
+or new node with a coordinate of 7 or more; the cap stays as the backstop.
+
 r_a is read off a grading l of the knitted quiver as l(I_a) - l(P_a) when
 one exists, and by shortest paths otherwise.
 """
@@ -38,6 +45,7 @@ from .errors import (
     KnittingStuck,
     NegativeMesh,
     NoPath,
+    NotDirected,
     NotFound,
     WithoutLength,
 )
@@ -51,6 +59,8 @@ from .pathspace import (
 from .quiver import BoundQuiver, per_algebra
 
 DEFAULT_CAP = 10_000
+# The largest coordinate of a positive root of a weakly positive unit form.
+MAX_COORDINATE = 6
 
 
 @dataclass
@@ -117,6 +127,9 @@ def knit(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> ARQuiver:
         raise AmbiguousInjective("two injectives share a dimension vector")
     if len(set(proj.values())) != len(q.vertices):
         raise AmbiguousInjective("two projectives share a dimension vector")
+    for dim in proj.values():
+        if max(dim) > MAX_COORDINATE:
+            raise not_directed(dim)
     rad = {a: Counter(dv.counts for dv in radical_summands(bq, a)) for a in q.vertices}
     missing = {a: len(rad[a]) for a in q.vertices}
     needed_by: dict[tuple[int, ...], list[int]] = {}
@@ -149,6 +162,8 @@ def knit(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> ARQuiver:
             raise CapExceeded(
                 f"more than {cap} nodes; the algebra is likely representation-infinite"
             )
+        if max(dim) > MAX_COORDINATE:
+            raise not_directed(dim)
         ident = len(ar.nodes)
         node = ARNode(ident, DimensionVector(q.vertices, dim), injective_of=inj.get(dim))
         if sum(dim) == 1:
@@ -212,6 +227,13 @@ def knit(bq: BoundQuiver, cap: int = DEFAULT_CAP) -> ARQuiver:
             )
 
 
+def not_directed(dim: tuple[int, ...]) -> NotDirected:
+    return NotDirected(
+        f"dimension vector {dim} has a coordinate above {MAX_COORDINATE}; "
+        "the algebra is not representation-directed"
+    )
+
+
 def check_mesh_identities(ar: ARQuiver) -> list[int]:
     """Node ids of non-projective nodes violating the mesh identity."""
     bad = []
@@ -222,6 +244,42 @@ def check_mesh_identities(ar: ARQuiver) -> list[int]:
         if any(rest):
             bad.append(z)
     return bad
+
+
+def glue(bq: BoundQuiver, parts: list[ARQuiver]) -> ARQuiver:
+    """The translation quiver glued from the AR quivers of full subalgebras
+    of bq: the union of their nodes, each vector padded by zeros to every
+    vertex of bq, with an arrow X -> Y kept only if every part that holds
+    both X and Y has it (an irreducible map of bq is irreducible in each
+    such part).  Node ids follow the parts in turn and need not be a
+    topological order; meshes are not glued."""
+    vertices = bq.quiver.vertices
+    glued = ARQuiver(bq)
+    held, maps = [], []
+    for part in parts:
+        at = [vertices.index(v) for v in part.bq.quiver.vertices]
+        dims = []
+        for node in part.nodes:
+            dim = [0] * len(vertices)
+            for i, c in zip(at, node.dim.counts):
+                dim[i] = c
+            dim = tuple(dim)
+            dims.append(dim)
+            if dim not in glued.by_dim:
+                ident = glued.by_dim[dim] = len(glued.nodes)
+                glued.nodes.append(ARNode(ident, DimensionVector(vertices, dim)))
+                glued.out[ident] = {}
+                glued.inn[ident] = {}
+        held.append(set(dims))
+        maps.append({(dims[u], dims[v]): mult
+                     for u, out in part.out.items() for v, mult in out.items()})
+    for arrows in maps:
+        for (x, y), mult in arrows.items():
+            if all((x, y) in other for other, nodes in zip(maps, held)
+                   if x in nodes and y in nodes):
+                u, v = glued.by_dim[x], glued.by_dim[y]
+                glued.out[u][v] = glued.inn[v][u] = mult
+    return glued
 
 
 # --------------------------------------------------------------------------
@@ -332,15 +390,17 @@ def nilpotency_knit(bq: BoundQuiver, cap: int = DEFAULT_CAP,
         ar = knit(bq, cap)
     if not has_length(ar):
         raise WithoutLength("component without length; use the string method")
-    q = bq.quiver
-    per_vertex = {a: r_a_knit(ar, a) for a in q.vertices}
-    interior = tuple(
-        a for a in q.vertices
-        if q.arrows_from(a) and q.arrows_into(a)
-    )
-    used = interior if interior else tuple(q.vertices)
+    per_vertex = {a: r_a_knit(ar, a) for a in bq.quiver.vertices}
+    used = readout_vertices(bq.quiver)
     value = 1 + max(per_vertex[a] for a in used)
     return KnitIndex(value, per_vertex, used, ar)
+
+
+def readout_vertices(q) -> tuple[int, ...]:
+    """The vertices whose r_a the index maximises: those with arrows in and
+    out, or every vertex when none has both."""
+    interior = tuple(a for a in q.vertices if q.arrows_from(a) and q.arrows_into(a))
+    return interior or tuple(q.vertices)
 
 
 # --------------------------------------------------------------------------

@@ -38,7 +38,7 @@ class DimensionVector:
     def __post_init__(self):
         if len(self.vertices) != len(self.counts):
             raise ValueError("vertices/counts length mismatch")
-        if any(c < 0 for c in self.counts):
+        if self.counts and min(self.counts) < 0:
             raise ValueError("negative entry in dimension vector")
 
     def __getitem__(self, v: int) -> int:

@@ -470,10 +470,12 @@ def family_instances(seed: int, per_family: int = 3):
     return out
 
 
-def glued_tree_algebras(seed: int, count: int, max_spine=12):
+def glued_tree_algebras(seed: int, count: int, max_spine=12, touching=False):
     """Trees shaped like the multi-relation gluing: disjoint zero-relation
     zones along a directed spine, random joint orientations, a few pendant
-    decorations; each yield knits within the cap."""
+    decorations; each yield knits within the cap.  Zones are one to four
+    arrows apart, or with `touching` each starts where the one before it
+    ends (gap 0)."""
     rng = random.Random(seed)
     produced = 0
     attempts = 0
@@ -493,9 +495,9 @@ def glued_tree_algebras(seed: int, count: int, max_spine=12):
             latest = (n - 1) - length + 1
             if latest < cursor:
                 break
-            s = rng.randint(cursor, min(cursor + 2, latest))
+            s = cursor if touching and windows else rng.randint(cursor, min(cursor + 2, latest))
             windows.append((s, length))
-            cursor = s + length + rng.randint(1, 2)
+            cursor = s + length + (0 if touching else rng.randint(1, 2))
         if len(windows) < 2:
             continue
         zone_arrows = {i for s, ln in windows for i in range(s, s + ln)}

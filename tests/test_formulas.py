@@ -389,6 +389,61 @@ def test_glued_matches_knit_on_known_disagreements(text):
     assert glued_index(bq).value == nilpotency_knit(bq).value
 
 
+# Monotree-wild corpus inputs (bench/corpora.py, named seed-stream-instance)
+# on which the block maximum fell short of the knitted index.
+GLUED_CORPUS_SHORT = sorted((FIXTURES / "glued").glob("*.quiv"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [path.read_text() for path in GLUED_CORPUS_SHORT] + list(GLUED_SHORT.values()),
+    ids=[path.stem for path in GLUED_CORPUS_SHORT] + list(GLUED_SHORT),
+)
+def test_glued_abstains_where_the_block_maximum_falls_short(text):
+    from radindex.errors import BlocksInteract
+
+    bq = parse_bound_quiver(text)
+    knitted = nilpotency_knit(bq, 4000).value
+    with pytest.raises(BlocksInteract) as info:
+        glued_index(bq, 4000)
+    assert f"reads {knitted}," in str(info.value)
+    report = route(bq, "all", 4000)
+    assert report.agreement is not False
+    assert report.r_value == knitted
+    assert report.method("glued_formula").status == "error"
+
+
+def test_glued_corpus_fixtures_are_all_there():
+    assert len(GLUED_CORPUS_SHORT) == 13
+
+
+def test_glued_matches_knit_or_abstains_on_touching_zones():
+    """Zones with no arrow between them, which glued_tree_algebras draws
+    only when asked: the block maximum either equals the knitted index or
+    glued abstains, as it must on some of these."""
+    from conftest import glued_tree_algebras
+
+    agreed = abstained = 0
+    for bq, ar in glued_tree_algebras(seed=1, count=40, touching=True):
+        try:
+            value = glued_index(bq).value
+        except (ShapeMismatch, OverlappedRelations):
+            abstained += 1
+            continue
+        assert value == nilpotency_knit(bq, ar=ar).value, bq
+        agreed += 1
+    assert agreed >= 30 and abstained >= 1
+
+
+def test_glue_of_one_part_is_its_ar_quiver(e3):
+    from radindex.knitting import glue
+
+    ar = knit(e3)
+    glued = glue(e3, [ar])
+    assert [n.dim.counts for n in glued.nodes] == [n.dim.counts for n in ar.nodes]
+    assert glued.out == ar.out and glued.inn == ar.inn
+
+
 # --------------------------------------------------------------------------
 # the router
 # --------------------------------------------------------------------------

@@ -346,3 +346,39 @@ def test_knit_out_of_scope_exits(arrows, zeros, cap, error, text):
 def test_cap_fires_past_the_last_node():
     """A_3 has six nodes: cap 6 knits it all, cap 5 stops (above)."""
     assert knit(linear_quiver(3), cap=6).node_count() == 6
+
+
+def test_e8_knits_in_every_orientation_up_to_six():
+    """The maximal root of E8 has coordinate 6, the bound knit stops above;
+    every orientation knits all 120 positive roots and reaches it."""
+    quivers = orientations("E", 8)
+    assert len(quivers) == 128
+    for bq in quivers:
+        ar = knit(bq)
+        assert ar.node_count() == 120
+        assert max(max(node.dim.counts) for node in ar.nodes) == 6
+
+
+def test_bound_fires_at_the_first_coordinate_above_six():
+    """The Kronecker quiver's preprojectives are (0,1), (1,2), ...; (6,7)
+    is the first with a 7, long before cap 60."""
+    from radindex.errors import NotDirected
+
+    bq = BoundQuiver(Quiver((1, 2), (Arrow("a", 1, 2), Arrow("b", 1, 2))))
+    with pytest.raises(NotDirected) as info:
+        knit(bq, cap=60)
+    assert isinstance(info.value, CapExceeded)
+    assert str(info.value) == (
+        "dimension vector (6, 7) has a coordinate above 6; "
+        "the algebra is not representation-directed"
+    )
+
+
+def test_bound_checks_the_projectives_first():
+    """Seven parallel arrows give P_1 = (1, 7): refused before the first
+    node, so even cap 0 does not fire."""
+    from radindex.errors import NotDirected
+
+    arrows = tuple(Arrow(f"a{i}", 1, 2) for i in range(7))
+    with pytest.raises(NotDirected, match=r"\(1, 7\)"):
+        knit(BoundQuiver(Quiver((1, 2), arrows)), cap=0)

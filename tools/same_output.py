@@ -6,13 +6,15 @@ quivers.
 OLD_SRC and NEW_SRC are `src` directories, e.g. of a `git archive` of the
 parent commit and of the working tree.  Both run `radindex --format machine
 index --method POLICY` under every policy, and `radindex dump-ar`, on the
-fixtures e1-e4 (default cap), on the first ROUNDS rounds of each seed of the
+fixtures e1-e4 (default cap), on the corpus inputs in tests/fixtures/glued
+(at the cap of their workload), on the first ROUNDS rounds of each seed of the
 three benchmark workloads (bench/corpora.py, at the benchmark's caps) and
 on RANDOM_PER_ROUND small random quivers per seed and round (cap 300).  The
 random quivers may have oriented cycles and carry zero-relations, so they
 reach the knit's out-of-scope exits, which the corpora never do.  Each tree
-runs in one fresh process.  The tool prints the first run whose exit code,
-output or error text differs, or "same".  Standard library only.
+runs in one fresh process.  The tool prints every run whose exit code,
+output or error text differs, then how many runs differ in each of the
+three, or "same".  Standard library only.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ def inputs(seeds, n_rounds):
 
     for name in ("e1", "e2", "e3", "e4"):
         yield name, None, (FIXTURES / f"{name}.quiv").read_text()
+    for path in sorted((FIXTURES / "glued").glob("*.quiv")):
+        yield f"glued/{path.stem}", CAPS["monotree-wild"], path.read_text()
     for workload in corpora.WORKLOADS:
         for seed in seeds:
             for inst in corpora.corpus(workload, seed, n_rounds):
@@ -123,15 +127,24 @@ def main(argv=None) -> int:
     if any(proc.returncode for proc in procs):
         print("a side failed to run", file=sys.stderr)
         return 2
+    kinds = dict.fromkeys(("exit code", "stdout", "stderr"), 0)
+    differing = 0
     for a, b in zip(old, new):
         if a != b:
+            differing += 1
             label, command, *old_run = json.loads(a)
+            new_run = json.loads(b)[2:]
             print(f"differs: {label}: radindex {command}")
             print("old:", json.dumps(old_run, indent=1))
-            print("new:", json.dumps(json.loads(b)[2:], indent=1))
-            return 1
+            print("new:", json.dumps(new_run, indent=1))
+            for kind, x, y in zip(kinds, old_run, new_run):
+                kinds[kind] += x != y
     if len(old) != len(new):
         print(f"differs: {len(old)} runs against {len(new)}")
+        return 1
+    if differing:
+        print(f"{differing} of {len(old)} runs differ: "
+              + ", ".join(f"{n} in {kind}" for kind, n in kinds.items()))
         return 1
     print("same")
     print(f"{len(old)} runs compared", file=sys.stderr)
